@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .errors import ElementOutOfRange, IdentityInConnectionSet, NotInverseClosed
 from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup
@@ -61,9 +63,6 @@ def _validate(group: FiniteGroup, connection: ConnectionSet) -> None:
         raise ValueError(
             f"connection set is for order {connection.order}, group has order {group.order}"
         )
-    for m in connection.members:
-        if not 0 <= m < group.order:
-            raise ElementOutOfRange(f"connection set member {m} not in [0, {group.order})")
     if group.identity in connection.members:
         raise IdentityInConnectionSet(
             f"identity {group.identity} may not appear in a connection set"
@@ -77,14 +76,10 @@ def directed_cayley(group: FiniteGroup, connection: ConnectionSet) -> Digraph:
     connection set.
     """
     _validate(group, connection)
-    table = group.table
-    rows = [0] * group.order
-    for g in range(group.order):
-        row = 0
-        for c in connection.members:
-            row |= 1 << int(table[g, c])
-        rows[g] = row
-    return Digraph(rows)
+    n = group.order
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n)[:, None], group.table[:, sorted(connection.members)]] = True
+    return Digraph.from_matrix(adj)
 
 
 def undirected_cayley(group: FiniteGroup, connection: ConnectionSet) -> SimpleGraph:

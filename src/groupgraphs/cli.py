@@ -136,29 +136,6 @@ def _encode_graph(graph: SimpleGraph | Digraph) -> str:
     return graphs.to_graph6(graph)
 
 
-def _graph_json(graph: SimpleGraph | Digraph) -> dict:
-    if isinstance(graph, Digraph):
-        return {
-            "order": graph.order,
-            "directed": True,
-            "arcs": [list(a) for a in graph.arcs()],
-        }
-    return {
-        "order": graph.order,
-        "directed": False,
-        "edges": [list(e) for e in graph.edges()],
-    }
-
-
-def _graph_table(graph: SimpleGraph | Digraph) -> str:
-    n = graph.order
-    lines = [str(n)]
-    for u in range(n):
-        row = graph.rows[u]
-        lines.append(" ".join(str((row >> v) & 1) for v in range(n)))
-    return "\n".join(lines)
-
-
 def _render_graph(graph: SimpleGraph | Digraph, fmt: str,
                   labels: tuple[str, ...] | None = None) -> str:
     if fmt == "graph6":
@@ -166,8 +143,8 @@ def _render_graph(graph: SimpleGraph | Digraph, fmt: str,
     if fmt == "dot":
         return graphs.to_dot(graph, labels)
     if fmt == "json":
-        return json.dumps(_graph_json(graph))
-    return _graph_table(graph)
+        return graphs.to_json(graph)
+    return graphs.to_table(graph)
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -2,17 +2,41 @@
 
 Adjacency is stored as packed bit-rows (one Python int per vertex) so the
 automorphism search kernels can test adjacency with shifts and masks.
-Serialization covers the standard graph6/digraph6 formats for n <= 62 and
-DOT output for human inspection.
+Whole-graph work (symmetrising, listing pairs, writing large outputs)
+goes through an n x n boolean matrix instead, built from the rows and
+packed back by the one pair of converters below, and constructors
+elsewhere hand in such a matrix.  Serialization covers the standard
+graph6/digraph6 formats for n <= 62, DOT output for human inspection, and
+JSON and 0/1 table text at any order.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import MalformedEncoding, UnsupportedOrder, VertexOutOfRange
 
 GRAPH6_MAX_ORDER = 62
+
+
+def _to_matrix(rows: Sequence[int]) -> np.ndarray:
+    """Bit-rows -> (n, n) bool matrix; bit v of rows[u] is entry [u, v]."""
+    order = len(rows)
+    width = (order + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(order, width)
+    return np.unpackbits(packed, axis=1, count=order, bitorder="little").view(bool)
+
+
+def _from_matrix(matrix) -> list[int]:
+    """Square matrix (nonzero = adjacent) -> bit-rows; inverse of _to_matrix."""
+    adj = np.asarray(matrix, dtype=bool)
+    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+        raise ValueError(f"adjacency matrix must be square, got shape {adj.shape}")
+    packed = np.packbits(adj, axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
 def _check_rows(order: int, rows: Sequence[int]) -> tuple[int, ...]:
@@ -40,10 +64,11 @@ class SimpleGraph:
     def __init__(self, rows: Sequence[int]):
         self.rows = _check_rows(len(rows), rows)
         self.order = len(self.rows)
-        for u in range(self.order):
-            for v in range(u + 1, self.order):
-                if ((self.rows[u] >> v) & 1) != ((self.rows[v] >> u) & 1):
-                    raise ValueError(f"adjacency not symmetric at pair ({u}, {v})")
+        adj = _to_matrix(self.rows)
+        if not np.array_equal(adj, adj.T):
+            # the mismatches are symmetric, so the first in row-major order has u < v
+            u, v = np.argwhere(adj != adj.T)[0].tolist()
+            raise ValueError(f"adjacency not symmetric at pair ({u}, {v})")
 
     @classmethod
     def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
@@ -59,8 +84,8 @@ class SimpleGraph:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> SimpleGraph:
-        rows = [sum((1 << v) for v, x in enumerate(row) if x) for row in matrix]
-        return cls(rows)
+        """From a square matrix whose nonzero entries mark adjacent pairs."""
+        return cls(_from_matrix(matrix))
 
     @classmethod
     def complete(cls, order: int) -> SimpleGraph:
@@ -96,8 +121,8 @@ class SimpleGraph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.order) for v in range(u + 1, self.order)
-                if (self.rows[u] >> v) & 1]
+        us, vs = np.nonzero(np.triu(_to_matrix(self.rows), 1))
+        return list(zip(us.tolist(), vs.tolist()))
 
     def is_complete(self) -> bool:
         full = (1 << self.order) - 1
@@ -143,8 +168,8 @@ class Digraph:
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> Digraph:
-        rows = [sum((1 << v) for v, x in enumerate(row) if x) for row in matrix]
-        return cls(rows)
+        """From a square matrix whose nonzero entry [u, v] marks the arc u -> v."""
+        return cls(_from_matrix(matrix))
 
     def _check_vertex(self, v: int) -> int:
         if not 0 <= v < self.order:
@@ -167,16 +192,16 @@ class Digraph:
         return sum(r.bit_count() for r in self.rows)
 
     def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.order) for v in range(self.order)
-                if (self.rows[u] >> v) & 1]
+        us, vs = np.nonzero(_to_matrix(self.rows))
+        return list(zip(us.tolist(), vs.tolist()))
 
     def has_constant_in_out_degrees(self) -> bool:
         """True iff all in-degrees agree and all out-degrees agree."""
         outs = {r.bit_count() for r in self.rows}
         if len(outs) != 1:
             return False
-        ins = {self.in_degree(v) for v in range(self.order)}
-        return len(ins) == 1
+        ins = np.count_nonzero(_to_matrix(self.rows), axis=0)
+        return bool((ins == ins[0]).all())
 
     def is_complete(self) -> bool:
         """True iff every ordered pair of distinct vertices is an arc."""
@@ -188,16 +213,8 @@ class Digraph:
 
     def underlying_undirected(self) -> SimpleGraph:
         """Forget orientation: u and v become adjacent iff either arc exists."""
-        rows = list(self.rows)
-        for u in range(self.order):
-            r = self.rows[u]
-            v = 0
-            while r:
-                if r & 1:
-                    rows[v] |= 1 << u
-                r >>= 1
-                v += 1
-        return SimpleGraph(rows)
+        adj = _to_matrix(self.rows)
+        return SimpleGraph(_from_matrix(adj | adj.T))
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Digraph)
@@ -318,6 +335,26 @@ def from_digraph6(text: str) -> Digraph:
     return Digraph(rows)
 
 
+def _pair_text(graph: SimpleGraph | Digraph, head: str, tail: str, sep: str) -> list[str]:
+    """The arcs (edges u < v for graphs) as text, one string per source vertex u.
+
+    Pair (u, v) is written head.format(u) + tail.format(v), and the pairs
+    of one u are joined by sep in ascending v.  Whole matrix rows are
+    formatted at once, so no tuple or string is made per pair.
+    """
+    adj = _to_matrix(graph.rows)
+    if not isinstance(graph, Digraph):
+        adj = np.triu(adj, 1)
+    tails = np.array([tail.format(v) for v in range(graph.order)], dtype=object)
+    out = []
+    for u, row in enumerate(adj):
+        picked = tails[row].tolist()
+        if picked:
+            start = head.format(u)
+            out.append(start + (sep + start).join(picked))
+    return out
+
+
 def to_dot(graph: SimpleGraph | Digraph, labels: Sequence[str] | None = None) -> str:
     """DOT text with caller-supplied vertex labels, for human inspection."""
     directed = isinstance(graph, Digraph)
@@ -327,9 +364,32 @@ def to_dot(graph: SimpleGraph | Digraph, labels: Sequence[str] | None = None) ->
     for v in range(graph.order):
         label = labels[v] if labels is not None else str(v)
         lines.append(f'  {v} [label="{label}"];')
-    if directed:
-        lines.extend(f"  {u} -> {v};" for u, v in graph.arcs())
-    else:
-        lines.extend(f"  {u} -- {v};" for u, v in graph.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    arrow = "->" if directed else "--"
+    lines.extend(_pair_text(graph, f"  {{}} {arrow} ", "{};", "\n"))
+    lines.append("}\n")
+    return "\n".join(lines)
+
+
+def to_json(graph: SimpleGraph | Digraph) -> str:
+    """One JSON object: order, orientation, and the sorted arc or edge pairs.
+
+    The text equals ``json.dumps`` of ``{"order": n, "directed": d,
+    "arcs"|"edges": [[u, v], ...]}`` byte for byte, without building that
+    list.
+    """
+    key, flag = ("arcs", "true") if isinstance(graph, Digraph) else ("edges", "false")
+    # one join per level: a "+" here would copy the whole text once more
+    return "".join((f'{{"order": {graph.order}, "directed": {flag}, "{key}": [',
+                    ", ".join(_pair_text(graph, "[{}, ", "{}]", ", ")), "]}"))
+
+
+def to_table(graph: SimpleGraph | Digraph) -> str:
+    """Adjacency-matrix text: a line with n, then n lines of space-separated 0/1.
+
+    There is no newline after the last row.
+    """
+    n = graph.order
+    text = np.full((n, 2 * n), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = _to_matrix(graph.rows).view(np.uint8) + ord("0")
+    text[:, -1] = ord("\n")
+    return f"{n}\n" + text.reshape(-1)[:-1].tobytes().decode("ascii")

@@ -65,10 +65,10 @@ class FiniteGroup:
     # -- validation ---------------------------------------------------------
 
     def _check_closed(self) -> None:
-        bad = np.argwhere((self._table < 0) | (self._table >= self.order))
-        if bad.size:
-            r, c = (int(x) for x in bad[0])
-            raise NotClosed(r, c, int(self._table[r, c]))
+        t = self._table
+        if t.min() < 0 or t.max() >= self.order:
+            r, c = np.argwhere((t < 0) | (t >= self.order))[0].tolist()
+            raise NotClosed(r, c, int(t[r, c]))
 
     def _find_identity(self) -> int:
         n = self.order
@@ -79,12 +79,18 @@ class FiniteGroup:
         raise NoIdentity(f"no two-sided identity in table of order {n}")
 
     def _check_latin_square(self) -> None:
+        # entries are in range (closure), so a line of n entries is a
+        # permutation iff it hits every value
         n = self.order
         idx = np.arange(n)
-        row_ok = (np.sort(self._table, axis=1) == idx).all(axis=1)
+        hit = np.zeros((n, n), dtype=bool)
+        hit[idx[:, None], self._table] = True      # hit[row, value]
+        row_ok = hit.all(axis=1)
         if not row_ok.all():
             raise NotInvertible("row", int(np.argmin(row_ok)))
-        col_ok = (np.sort(self._table, axis=0) == idx[:, None]).all(axis=0)
+        hit[:] = False
+        hit[self._table, idx] = True               # hit[value, column]
+        col_ok = hit.all(axis=0)
         if not col_ok.all():
             raise NotInvertible("column", int(np.argmin(col_ok)))
 
@@ -123,8 +129,8 @@ class FiniteGroup:
         return self._inverses[self._check_element(g)]
 
     def _compute_inverses(self) -> tuple[int, ...]:
-        e = self.identity
-        return tuple(int(np.nonzero(self._table[g] == e)[0][0]) for g in range(self.order))
+        # each row holds the identity exactly once (Latin square), in row order
+        return tuple(np.nonzero(self._table == self.identity)[1].tolist())
 
     def power(self, g: int, m: int) -> int:
         """g**m by binary exponentiation; g**0 is the identity."""
@@ -256,7 +262,8 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
     idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    table = np.add.outer(idx, idx)
+    np.subtract(table, n, out=table, where=table >= n)
     return FiniteGroup(table, name=f"Z{n}")
 
 
@@ -269,27 +276,30 @@ def dihedral(m: int) -> FiniteGroup:
     if m < 2:
         raise InvalidOrder(f"dihedral parameter must be >= 2, got {m}")
 
-    def encode(shift: int, flip: int) -> int:
-        return (shift % m) + (m if flip else 0)
-
-    table = np.empty((2 * m, 2 * m), dtype=np.int64)
-    for i in range(2 * m):
-        a, ea = i % m, i >= m
-        for j in range(2 * m):
-            b, eb = j % m, j >= m
-            shift = (a - b) if ea else (a + b)
-            table[i, j] = encode(shift, ea ^ eb)
+    idx = np.arange(2 * m)
+    a, ea = (idx % m)[:, None], (idx >= m)[:, None]
+    b, eb = idx % m, idx >= m
+    # x -> b + t*x, then x -> a + s*x, is x -> (a + s*b) + s*t*x  (s, t = +-1)
+    table = np.where(ea, a - b, a + b) % m + m * (ea ^ eb)
     names = [f"r{i}" for i in range(m)] + [f"sr{i}" for i in range(m)]
     return FiniteGroup(table, name=f"D{m}", element_names=names)
 
 
 def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.empty((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[x] for x in q)]
+    """table[i, j] = index of perms[i] o perms[j]; perms must be in lex order.
+
+    A permutation's base-k code orders like the permutation itself, so the
+    codes of lex-ordered perms are sorted and searchsorted maps a composed
+    code back to its index.  One row is composed at a time, which keeps the
+    working memory at O(n * k) beside the n x n table.
+    """
+    arr = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
+    k = arr.shape[1]
+    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = arr @ weights
+    table = np.empty((len(perms), len(perms)), dtype=np.int64)
+    for i, p in enumerate(arr):
+        table[i] = np.searchsorted(codes, p[arr] @ weights)
     return table
 
 
@@ -298,7 +308,10 @@ def _perm_name(p: tuple[int, ...]) -> str:
 
 
 def symmetric(k: int) -> FiniteGroup:
-    """The symmetric group S_k, order k!, elements ordered lexicographically."""
+    """The symmetric group S_k, order k!, elements ordered lexicographically.
+
+    Elements are image tuples p; the product of p and q is x -> p[q[x]].
+    """
     if k < 1:
         raise InvalidOrder(f"symmetric group parameter must be >= 1, got {k}")
     perms = [tuple(p) for p in _iter_permutations(range(k))]
@@ -307,7 +320,10 @@ def symmetric(k: int) -> FiniteGroup:
 
 
 def alternating(k: int) -> FiniteGroup:
-    """The alternating group A_k, order k!/2, even permutations in lex order."""
+    """The alternating group A_k, order k!/2, even permutations in lex order.
+
+    Products compose as in symmetric(): p times q is x -> p[q[x]].
+    """
     if k < 3:
         raise InvalidOrder(f"alternating group parameter must be >= 3, got {k}")
     perms = [tuple(p) for p in _iter_permutations(range(k)) if _is_even(p)]
@@ -329,18 +345,11 @@ def dicyclic(m: int) -> FiniteGroup:
     if m < 2:
         raise InvalidOrder(f"dicyclic parameter must be >= 2, got {m}")
     two_m = 2 * m
-    table = np.empty((4 * m, 4 * m), dtype=np.int64)
-    for idx in range(4 * m):
-        i, bi = idx % two_m, idx >= two_m
-        for jdx in range(4 * m):
-            j, bj = jdx % two_m, jdx >= two_m
-            if not bi:
-                k, bk = (i + j) % two_m, bj
-            elif not bj:
-                k, bk = (i - j) % two_m, True
-            else:
-                k, bk = (i - j + m) % two_m, False
-            table[idx, jdx] = k + (two_m if bk else 0)
+    idx = np.arange(4 * m)
+    i, bi = (idx % two_m)[:, None], (idx >= two_m)[:, None]
+    j, bj = idx % two_m, idx >= two_m
+    # a^i * a^j b^bj = a^(i+j) b^bj; a^i b * a^j b^bj = a^(i-j) b^(1+bj), b^2 = a^m
+    table = np.where(bi, i - j + m * bj, i + j) % two_m + two_m * (bi ^ bj)
     names = [f"a{i}" for i in range(two_m)] + [f"a{i}b" for i in range(two_m)]
     return FiniteGroup(table, name=f"Dic{m}", element_names=names)
 

@@ -7,6 +7,8 @@ either is a positive power of the other.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup
 
@@ -16,19 +18,20 @@ def directed_power_graph(group: FiniteGroup) -> Digraph:
 
     Powers are enumerated only up to the order of x (they cycle after
     that), so construction costs the sum of element orders rather than
-    O(n^3).  Every x != e gets an arc to the identity.
+    O(n^3); all elements advance together, and an element drops out once
+    its next power is itself again.  Every x != e gets an arc to the
+    identity.
     """
-    n = group.order
     table = group.table
-    rows = [0] * n
-    for x in range(n):
-        row = 0
-        y = int(table[x, x])
-        while y != x:
-            row |= 1 << y
-            y = int(table[y, x])
-        rows[x] = row & ~(1 << x)
-    return Digraph(rows)
+    adj = np.zeros((group.order, group.order), dtype=bool)
+    xs = np.arange(group.order)
+    ys = table[xs, xs]
+    while xs.size:
+        live = ys != xs
+        xs, ys = xs[live], ys[live]
+        adj[xs, ys] = True
+        ys = table[ys, xs]
+    return Digraph.from_matrix(adj)
 
 
 def undirected_power_graph(group: FiniteGroup) -> SimpleGraph:

@@ -158,16 +158,12 @@ def _rotation_witness(graph: Graph) -> CayleyWitness:
     """Witness for a complete or edgeless graph: rotations of a cyclic group."""
     n = graph.order
     group = cyclic(n)
-    members = () if _edge_row(graph, 0) == 0 else range(1, n)
+    members = () if graph.rows[0] == 0 else range(1, n)
     connection = ConnectionSet(n, members)
     vertex_map = tuple(
         Permutation((v + i) % n for i in range(n)) for v in range(n)
     )
     return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
-
-
-def _edge_row(graph: Graph, v: int) -> int:
-    return graph.rows[v]
 
 
 def _witness_from_subgroup(graph: Graph, members: list[Permutation]) -> CayleyWitness:

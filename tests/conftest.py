@@ -9,6 +9,7 @@ the library's answers against these.
 
 from __future__ import annotations
 
+import cmath
 from itertools import permutations
 
 import pytest
@@ -81,6 +82,56 @@ def check_group_axioms(table: list[list[int]]) -> None:
         for b in range(n):
             for c in range(n):
                 assert table[table[a][b]][c] == table[a][table[b][c]]
+
+
+def table_from_matrices(matrices: list[list[list[complex]]]) -> list[list[int]]:
+    """Multiplication table of a faithful 2x2 matrix representation.
+
+    Entry [i][j] is the index of the matrix equal (to rounding) to
+    matrices[i] @ matrices[j], found by a plain scan over all elements.
+    """
+    def product(p, q):
+        return [[sum(p[r][t] * q[t][c] for t in range(2)) for c in range(2)]
+                for r in range(2)]
+
+    def index_of(m):
+        hits = [k for k, cand in enumerate(matrices)
+                if all(abs(m[r][c] - cand[r][c]) < 1e-9 for r in range(2) for c in range(2))]
+        assert len(hits) == 1
+        return hits[0]
+
+    return [[index_of(product(p, q)) for q in matrices] for p in matrices]
+
+
+def dihedral_oracle(m: int) -> list[list[int]]:
+    """D_m as plane isometries of the m-gon with vertices at angles 2*pi*x/m.
+
+    Index i is the rotation x -> i + x, index m + i the reflection
+    x -> i - x, and table[g][h] is the isometry "h, then g".
+    """
+    angles = [2 * cmath.pi * i / m for i in range(m)]
+    rotations = [[[cmath.cos(t), -cmath.sin(t)], [cmath.sin(t), cmath.cos(t)]] for t in angles]
+    # x -> i - x is the flip x -> -x, diag(1, -1), followed by rotation i
+    reflections = [[[r[0][0], -r[0][1]], [r[1][0], -r[1][1]]] for r in rotations]
+    return table_from_matrices(rotations + reflections)
+
+
+def dicyclic_oracle(m: int) -> list[list[int]]:
+    """Dic_m in SL(2, C): a = diag(z, 1/z) with z = exp(i*pi/m), b = [[0, -1], [1, 0]].
+
+    These satisfy a^(2m) = 1, b^2 = a^m = -1 and b*a = a^-1*b; index i is
+    a^i and index 2m + i is a^i*b.
+    """
+    z = cmath.exp(1j * cmath.pi / m)
+    powers = [[[z ** i, 0], [0, z ** -i]] for i in range(2 * m)]
+    times_b = [[[0, -p[0][0]], [p[1][1], 0]] for p in powers]
+    return table_from_matrices(powers + times_b)
+
+
+def permutation_oracle(perms: list[tuple[int, ...]]) -> list[list[int]]:
+    """table[i][j] is the index of x -> perms[i][perms[j][x]]."""
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
 
 
 def sampled_connection_sets(group: FiniteGroup) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -240,3 +241,114 @@ def test_module_entry_point_subprocess() -> None:
     )
     assert result.returncode == 0
     assert "Z2xZ2" in result.stdout
+
+
+# sha256 of standard output, recorded before the numpy rewrite of graph
+# construction and serialization; orders above 62 have no graph6 (exit 2).
+CLI_OUTPUT_DIGESTS = [
+    ("power --group S4 --format graph6", 0, "2699ed706a854a544f6a74beb4cb6c91ddc83d68d541ebf3a27e4f2199eb8b59"),
+    ("power --group S4 --format json", 0, "d610be4b2e0a071c57ba6741d365f9b170442ae89cf149c5ce95c8469c3a5709"),
+    ("power --group S4 --format table", 0, "8d802ef8a7bbcaba321474579e066bbe2188a23e1db15376a4ab8fed621934d5"),
+    ("power --group S4 --format dot", 0, "b4b64f7eb84ba8b633cd675622d81cb487e0e8498f9ea6c09fd87c2c535b21c1"),
+    ("power --group S4 --format graph6 --directed", 0, "7988cf770c4a1da632d4e6027dec65b6a1e435ec732a34080c3903ee852d37b6"),
+    ("power --group S4 --format json --directed", 0, "d8ad7a2d60bbf50ac4b9d8f4b46a52d71321882fd3183da95d6f724406e190e0"),
+    ("power --group S4 --format table --directed", 0, "0d01eff4bd4abe171d2f243a125345f5accc3cd8e4369154ba9a07880d799521"),
+    ("power --group S4 --format dot --directed", 0, "7b31477acce399d3c14126fcd73e4105db7df2d726723d98d0a0dce61f010c7c"),
+    ("cayley --group S4 --format graph6 --set 1,23", 0, "4ef1aa7b47046ec9e8a4ba5f9af425f83bbce344450edaeb61aa9414039ec443"),
+    ("cayley --group S4 --format json --set 1,23", 0, "b0572462fc532a179c07cf9d8e928a480f1b8ea16d1cbe8dd2405b3ddbaea22d"),
+    ("cayley --group S4 --format table --set 1,23", 0, "a5018966571128617654d8bb428afb93e21372886caa66fce501a02736bdb9af"),
+    ("cayley --group S4 --format dot --set 1,23", 0, "89eedb4792bf3bf46014b03e0fde3a26200bcf673016002db633bd1ed5774e77"),
+    ("cayley --group S4 --format graph6 --set 1,2,3 --directed", 0, "6aa902c717756e8948c673f29d25318dffc0e6edb681e157950c72e3515f3297"),
+    ("cayley --group S4 --format json --set 1,2,3 --directed", 0, "d837b3a64554dea6b65eb7064d7b0cc788290f963b96a3c9c7289f895c7bbcc5"),
+    ("cayley --group S4 --format table --set 1,2,3 --directed", 0, "7bcc9205e6ca6493916f749b7582831de7753bb8902cb29fcb98498855371c62"),
+    ("cayley --group S4 --format dot --set 1,2,3 --directed", 0, "11d74e12d0b76b65832ed1daee34d9f84798d9431e57016805f06cf90bbb51dc"),
+    ("power --group D6 --format graph6", 0, "b99d173c1836c89b16cbf8518ed1c0259a9d6fdf71ee953e56b675908d05d114"),
+    ("power --group D6 --format json", 0, "92a15216e3f88b515007db0e65af4482d709c499eb2b99b8d9cc9fe55f1cb175"),
+    ("power --group D6 --format table", 0, "4e378265f2a182e3cc1bc5ab0a16e80c642b2e48e295a54219d888c9cc445113"),
+    ("power --group D6 --format dot", 0, "343ce77e363925ef22724aa9d8be3bd63f51cdccdae9873b511acc3a3f77512a"),
+    ("power --group D6 --format graph6 --directed", 0, "02eb4dba6acca2e33486b362bec1058a05b150134b00ddb74acf2876e90f6f7f"),
+    ("power --group D6 --format json --directed", 0, "baee0e0bd0f54929f0ab4b7179e871ce631dd1fd0bec70d810ec0518ad2529c8"),
+    ("power --group D6 --format table --directed", 0, "2c8195bf106d9c704c08e1508b61d00ac1c390d7f075deb00f16ef84ba6de242"),
+    ("power --group D6 --format dot --directed", 0, "36ccf66b0049f6c8a75b620a40cb84d80168240af0dfe0ac49dbd60f3958798c"),
+    ("cayley --group D6 --format graph6 --set 1,5,11", 0, "ef27d068760cb5b4d26cc196ce01e6a5d7d57b5839006517fbe2f558d2942614"),
+    ("cayley --group D6 --format json --set 1,5,11", 0, "e596887f4ecdb8829e60dc0f2c4fb234d5f01a6eb68307db5ad081a770a45457"),
+    ("cayley --group D6 --format table --set 1,5,11", 0, "d41975a4fccfca8863445603277d147329220b9653f8f86851e4b11156a3ff29"),
+    ("cayley --group D6 --format dot --set 1,5,11", 0, "2df38365949cfb26ec35a3bf48fe8c3bb537bb7aa905397f7c4f10aa797aad04"),
+    ("cayley --group D6 --format graph6 --set 1,2,3 --directed", 0, "f46ce83a8d7774a7f79e7855ea28e8e8d1eb05802c9507910e59708335e3e302"),
+    ("cayley --group D6 --format json --set 1,2,3 --directed", 0, "77ad89f062454c59f4b7571ad32ea24a59a4b40b29def90367dfa039d3837c31"),
+    ("cayley --group D6 --format table --set 1,2,3 --directed", 0, "dbf7af3c0b6a94514a225fa5445d53017b6dad8f5c0bf7c86bde4b87ba87deef"),
+    ("cayley --group D6 --format dot --set 1,2,3 --directed", 0, "b89e0bf83c136b43565243fe5e86152055dcb468a562ef35be71cde912c80de2"),
+    ("power --group Dic3 --format graph6", 0, "9294e7d4068f1cbbb41fc2104be818c3fd5473d7647cf7e7e189102fa466756d"),
+    ("power --group Dic3 --format json", 0, "55caf95b70286e59989acbc845443ea137db06de764ebc863734dbeff9cfa175"),
+    ("power --group Dic3 --format table", 0, "2c2a37a19b73c3ab9dea20d8fa3e56ec01c69714ff2d166516f9471d47b3bb6b"),
+    ("power --group Dic3 --format dot", 0, "7d345f0e031c5b7cd4a149d5f0b7f2433e2010d11bd58fd5e2373480bbb30389"),
+    ("power --group Dic3 --format graph6 --directed", 0, "17fe9367ba1d2e7c84cf6e17c7e6ee4fa10a7709dcb950aa5a791176af3ff817"),
+    ("power --group Dic3 --format json --directed", 0, "3afa0cbc3e32a7fee1080a9ba56aaa54b194e705d1189613342e40757114ced9"),
+    ("power --group Dic3 --format table --directed", 0, "06d5614ad5bd9c7bd3c3fbc5cd3a69be66717b85d91726bda288027cf1f6e100"),
+    ("power --group Dic3 --format dot --directed", 0, "076ccd8e66b65681ae66206ba67443c003079fb55a2fe9f18f1eddea5510314c"),
+    ("cayley --group Dic3 --format graph6 --set 1,5,8,11", 0, "f78110e1a1ea307060d115e03455f19ef7b7e631f2d29caa34b4260bd6037c65"),
+    ("cayley --group Dic3 --format json --set 1,5,8,11", 0, "cdb3932adac58260cadcdb57c8260d55a152b9a92c5c69dfca1cbc0d566d81a8"),
+    ("cayley --group Dic3 --format table --set 1,5,8,11", 0, "023a1a1406eedcf0fb46a10b699d246f26280ff9baedf973982ea9dcb077c6e6"),
+    ("cayley --group Dic3 --format dot --set 1,5,8,11", 0, "6a9fedebadf34f33168545c783faf328f769dce42d4561eddf9315b905325138"),
+    ("cayley --group Dic3 --format graph6 --set 1,2,3 --directed", 0, "f46ce83a8d7774a7f79e7855ea28e8e8d1eb05802c9507910e59708335e3e302"),
+    ("cayley --group Dic3 --format json --set 1,2,3 --directed", 0, "77ad89f062454c59f4b7571ad32ea24a59a4b40b29def90367dfa039d3837c31"),
+    ("cayley --group Dic3 --format table --set 1,2,3 --directed", 0, "dbf7af3c0b6a94514a225fa5445d53017b6dad8f5c0bf7c86bde4b87ba87deef"),
+    ("cayley --group Dic3 --format dot --set 1,2,3 --directed", 0, "381d2501e8ad985db02a8073ed4ecd2d36bb247b98d810963765345d204d3130"),
+    ("power --group Z2xZ6 --format graph6", 0, "48543d83630ce18338f78480390c4f400a537fbda45132060419d4a6d6188b4e"),
+    ("power --group Z2xZ6 --format json", 0, "036cd6810c7eb555426ac682b18f86b999baf64dfb3302e8a309a2a55919ea21"),
+    ("power --group Z2xZ6 --format table", 0, "22efcdca83e63f9b6716c22bc9b903afa1bd935f6a107eb2f94784e08e9c66b4"),
+    ("power --group Z2xZ6 --format dot", 0, "6028c90c41247c2251849a5973f409174f7892cdd2fe1beb5563bfeff6b42ef5"),
+    ("power --group Z2xZ6 --format graph6 --directed", 0, "b5c3e1c817de07cb1f52bc56c9bcebbdefde33ecbc5c4da1f72c765c33660533"),
+    ("power --group Z2xZ6 --format json --directed", 0, "b568be742f0b8e2f4845d66e46fe3c9235b853891fffefc8303c8968da480986"),
+    ("power --group Z2xZ6 --format table --directed", 0, "dca08b979c72f81258eb3fb8fe603b9f3440246c9b43b991c75e0d3eef8e3b45"),
+    ("power --group Z2xZ6 --format dot --directed", 0, "51861ffc570f82aace9f882578d5f579cdea72f75c326b52da5ce19c289ca1dd"),
+    ("cayley --group Z2xZ6 --format graph6 --set 1,5,7,11", 0, "da78ab2d1928eb2a516dca7dbdd1ed16cf7213ad3396a47fe3dc24f6f9060665"),
+    ("cayley --group Z2xZ6 --format json --set 1,5,7,11", 0, "c63bbac2c21bbaa2808427480f4b67baeb485c74d37bd9a3b0fcf665a3bbc934"),
+    ("cayley --group Z2xZ6 --format table --set 1,5,7,11", 0, "d7fbb134e141d9f8cda7dd3573799021ce0af88c4a22567e80956099d70847ba"),
+    ("cayley --group Z2xZ6 --format dot --set 1,5,7,11", 0, "402e4d32dbf4ed6ec4ae3c1b706204d5834bb3068d9e8b00bc2457c01bad4b46"),
+    ("cayley --group Z2xZ6 --format graph6 --set 1,2,3 --directed", 0, "bb829f03ae8126851d1d75139d9b3a22df499569b2a5ebb2d03529a9865fdcf0"),
+    ("cayley --group Z2xZ6 --format json --set 1,2,3 --directed", 0, "e8b71ea4743ceea7561bf71cc55c8118a7e5453cfb660d0b13dbdc2faa70221f"),
+    ("cayley --group Z2xZ6 --format table --set 1,2,3 --directed", 0, "6c657451de1f9d4d2e496ca64a1dde3e3e5128dd9fcebf484a64bd89719ca38a"),
+    ("cayley --group Z2xZ6 --format dot --set 1,2,3 --directed", 0, "1ee85daf6ec9e18852f89df6460d9e4ce9585f744b02740e56e29eaed59d2b4f"),
+    ("power --group A5 --format graph6", 0, "5a0448f80951cc63b2515c792a0a8d72589ce96fde01505797e2b8dd1d2d3c53"),
+    ("power --group A5 --format json", 0, "ed7cab2b86bc8de13f7618a8fb9b76096248c3339348f808dde524461c6245b8"),
+    ("power --group A5 --format table", 0, "b5483ba1fa6ae826746d9981cbcb9a4765bb79ada12c042c9318b91b1d874383"),
+    ("power --group A5 --format dot", 0, "75f6586e0fa46b55ced0662f5235239d123f2bea941727a0e7d45eb75a1e530e"),
+    ("power --group A5 --format graph6 --directed", 0, "47feabf8975cada02befd02cbd74c51412ce712e229d790be4a51ae3554b30d3"),
+    ("power --group A5 --format json --directed", 0, "599eb1ddabf35e5058829cb3d35f238f0829159457c3285e3f8bf78ed9225968"),
+    ("power --group A5 --format table --directed", 0, "f2ab83a35bbc67ba6ccf2990449a990ff61a404ca391125e6be0603724ff3b75"),
+    ("power --group A5 --format dot --directed", 0, "c6b729e1650354274d6052140d42950d042016b83aae59584ecc3404b4dc8d08"),
+    ("cayley --group A5 --format graph6 --set 1,2,59", 0, "d89199a04b1495eb814e9d493c8f901546518949eabb9b366ccfc860decae082"),
+    ("cayley --group A5 --format json --set 1,2,59", 0, "abfe4a81eadd387470b12c2566ca89dc13d2f6134e144e8d87251adba0f7e1b9"),
+    ("cayley --group A5 --format table --set 1,2,59", 0, "10aa38101578a3eb67a59bfc881d5f8e0d40a9fa80117d4fe0d077d5bfc7751a"),
+    ("cayley --group A5 --format dot --set 1,2,59", 0, "731eb27515e98d5adc3e07b617b3ad329d158f6ae469ace3de43a6a8efd80caf"),
+    ("cayley --group A5 --format graph6 --set 1,2,3 --directed", 0, "11ff075805443a13dfe02ecfc1b630e8279e2c2bfaa177568ad1c6eea125581b"),
+    ("cayley --group A5 --format json --set 1,2,3 --directed", 0, "4e4a6a030009c3aa7e9f1e600029f562070726072695ed25cbcebacb672f5cc8"),
+    ("cayley --group A5 --format table --set 1,2,3 --directed", 0, "6d3aa9805b4383f636b1b733555f834f4b2a7b4ef209f0c6b9f17a8f4d53357d"),
+    ("cayley --group A5 --format dot --set 1,2,3 --directed", 0, "cb65f24269c5a8e0c8069af3ce308c5a40b52dc3ecdf546b09a1243d70f1f4ab"),
+    ("power --group D64 --format graph6", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("power --group D64 --format json", 0, "826c32d77853242c07d56c5ae843d2acb881764902d936ee71c5c3e899e73bf3"),
+    ("power --group D64 --format table", 0, "fc3b27f815dac979a96c6ff4ec880c9318457ea0c46928546b9936781e529acc"),
+    ("power --group D64 --format dot", 0, "c5f73cec6f1ec0893a81a989d5ae84e93560e538ecaacb7cac502665a6e6c434"),
+    ("power --group D64 --format graph6 --directed", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("power --group D64 --format json --directed", 0, "065fcf06c15287d6e6fad415d302cee9d3f7280658fc23084ab6a4e18586f7e7"),
+    ("power --group D64 --format table --directed", 0, "5aff9dc660f1a83949f2cb660a556acfc735bedc927bebc75d8170f9a7cb0607"),
+    ("power --group D64 --format dot --directed", 0, "51dd7c6eaff5466a19217998c32480eedcadb32cc1bdf09176b77bccfbafc85e"),
+    ("cayley --group D64 --format graph6 --set 1,63,127", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cayley --group D64 --format json --set 1,63,127", 0, "c219bb7c0b6802bd1d147a20741351d2dde93831f534ea429f292f740dc2107b"),
+    ("cayley --group D64 --format table --set 1,63,127", 0, "2df092a98f17f4896739f4360622cc9d73cef947cd8105227038719b76976068"),
+    ("cayley --group D64 --format dot --set 1,63,127", 0, "0882942485a1957b85937abed6e216e3b91b30c9d160bb8f21fd516e1c65788a"),
+    ("cayley --group D64 --format graph6 --set 1,2,3 --directed", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cayley --group D64 --format json --set 1,2,3 --directed", 0, "f30c76a8cc807d583fed34bff8083ebc4e7a5964fd7ccc4d9a5b1a89b29a64f9"),
+    ("cayley --group D64 --format table --set 1,2,3 --directed", 0, "6499bc98c6b9c2034223c8995893928a21de1107bdbbe1d7359ca2e01a0a5e6b"),
+    ("cayley --group D64 --format dot --set 1,2,3 --directed", 0, "f56a1b2aeea4dd261e96d7df52492a671dd4a678a22f24f689e79a9a764ef58f"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", CLI_OUTPUT_DIGESTS,
+                         ids=[case[0] for case in CLI_OUTPUT_DIGESTS])
+def test_construction_output_is_byte_identical(capsys, argv: str, code: int, digest: str) -> None:
+    got_code, out = run(capsys, *argv.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from groupgraphs import graphs, groups, powergraph
@@ -161,3 +163,41 @@ def test_to_dot_directed_and_undirected() -> None:
     ddot = graphs.to_dot(d)
     assert ddot.startswith("digraph {")
     assert "1 -> 0;" in ddot
+
+
+@pytest.mark.parametrize("graph", [
+    SimpleGraph.edgeless(1),
+    SimpleGraph.from_edges(4, [(0, 3), (1, 2), (2, 3)]),
+    powergraph.undirected_power_graph(groups.dihedral(6)),
+    Digraph.from_arcs(3, [(2, 0)]),
+    powergraph.directed_power_graph(groups.dicyclic(3)),
+], ids=["K1", "path", "pg_D6", "one_arc", "dpg_Dic3"])
+def test_json_and_table_writers_match_reference_formatting(graph) -> None:
+    n, directed = graph.order, isinstance(graph, Digraph)
+    adjacent = graph.has_arc if directed else graph.has_edge
+    pairs = [[u, v] for u in range(n) for v in range(n)
+             if (directed or u < v) and adjacent(u, v)]
+    expected = {"order": n, "directed": directed, ("arcs" if directed else "edges"): pairs}
+    assert graphs.to_json(graph) == json.dumps(expected)
+    rows = [" ".join(str(int(adjacent(u, v))) for v in range(n)) for u in range(n)]
+    assert graphs.to_table(graph) == "\n".join([str(n), *rows])
+
+
+def test_from_matrix_round_trip_and_shape_check() -> None:
+    pg = powergraph.undirected_power_graph(groups.symmetric(3))
+    matrix = [[int(pg.has_edge(u, v)) for v in range(6)] for u in range(6)]
+    assert SimpleGraph.from_matrix(matrix) == pg
+    dpg = powergraph.directed_power_graph(groups.cyclic(4))
+    assert Digraph.from_matrix([[int(dpg.has_arc(u, v)) for v in range(4)]
+                                for u in range(4)]) == dpg
+    with pytest.raises(ValueError, match="square"):
+        SimpleGraph.from_matrix([[0, 1, 0], [1, 0, 0]])
+
+
+def test_asymmetric_rows_report_the_first_pair() -> None:
+    # 4 -> 1 and 2 -> 3 lack their reverses; (1, 4) comes first lexicographically
+    rows = [0, 0, 1 << 3, 0, 1 << 1]
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at pair \(1, 4\)$"):
+        SimpleGraph(rows)
+    with pytest.raises(ValueError, match=r"at pair \(0, 1\)$"):
+        SimpleGraph([1 << 1, 0])

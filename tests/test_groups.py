@@ -15,7 +15,12 @@ from groupgraphs.errors import (
     NotClosed,
     NotInvertible,
 )
-from tests.conftest import check_group_axioms
+from tests.conftest import (
+    check_group_axioms,
+    dicyclic_oracle,
+    dihedral_oracle,
+    permutation_oracle,
+)
 
 
 def test_from_table_z2() -> None:
@@ -230,3 +235,22 @@ def test_dihedral_relations() -> None:
     assert d4.element_order(reflection) == 2
     # s * r = r^-1 * s
     assert d4.mul(reflection, rotation) == d4.mul(d4.inverse(rotation), reflection)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_dihedral_and_dicyclic_match_matrix_oracles(m: int) -> None:
+    assert groups.dihedral(m).table.tolist() == dihedral_oracle(m)
+    assert groups.dicyclic(m).table.tolist() == dicyclic_oracle(m)
+
+
+@pytest.mark.parametrize("build, k, even_only", [
+    (groups.symmetric, 4, False),
+    (groups.alternating, 5, True),
+])
+def test_permutation_groups_match_composition_oracle(build, k: int, even_only: bool) -> None:
+    perms = [p for p in permutations(range(k))
+             if not even_only
+             or sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 0]
+    group = build(k)
+    assert group.element_names == tuple("(" + " ".join(map(str, p)) + ")" for p in perms)
+    assert group.table.tolist() == permutation_oracle(perms)

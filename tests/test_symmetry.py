@@ -122,6 +122,15 @@ def test_is_cayley_rejects_dpg_z4_on_degrees() -> None:
     assert verdict.reason is NotCayleyReason.NOT_REGULAR_DEGREE
 
 
+def test_is_cayley_rejects_constant_out_but_varying_in_degree() -> None:
+    # every out-degree is 1; in-degrees are 2, 1, 0
+    d = Digraph.from_arcs(3, [(0, 1), (1, 0), (2, 0)])
+    assert not d.has_constant_in_out_degrees()
+    verdict = symmetry.is_cayley(d)
+    assert not verdict
+    assert verdict.reason is NotCayleyReason.NOT_REGULAR_DEGREE
+
+
 def test_petersen_is_vertex_transitive_but_not_cayley() -> None:
     pet = petersen_graph()
     assert len(symmetry.automorphisms(pet)) == 120
