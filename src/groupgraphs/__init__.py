@@ -7,11 +7,14 @@ subgroups of graph automorphism groups, and verifies over a built-in
 catalog of all 28 groups of order <= 15 that the undirected power graph
 is a Cayley graph exactly for cyclic groups of prime-power order, while
 directed power graphs of nontrivial groups never are.
+
+There is one search implementation, in pure Python in ``symmetry``;
+``backend_name()`` names it.  Group tables, graph construction and the
+large-order writers run on numpy.
 """
 
 from __future__ import annotations
 
-from ._backend import backend_name
 from .catalog import CatalogEntry, catalog, catalog_entry
 from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
 from .errors import (
@@ -58,6 +61,7 @@ from .symmetry import (
     NotCayley,
     NotCayleyReason,
     automorphisms,
+    backend_name,
     find_regular_subgroup,
     is_cayley,
     is_vertex_transitive,

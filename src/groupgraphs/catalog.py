@@ -50,52 +50,48 @@ class CatalogEntry:
             )
 
 
-def _named(group: FiniteGroup, name: str) -> CatalogEntry:
-    group.name = name
-    return CatalogEntry(name=name, order=group.order, group=group)
-
-
 def catalog(max_order: int = MAX_CATALOG_ORDER) -> list[CatalogEntry]:
     """Return all groups of order <= ``max_order`` (up to isomorphism).
 
-    ``max_order`` must lie in ``1..15``.  The result is freshly built on
-    every call so callers may mutate group names without side effects.
+    ``max_order`` must lie in ``1..15``.  Each entry is named by the name
+    its constructor gave the group, e.g. ``Z2xZ4`` or ``Dic3``.
     """
     if not 1 <= max_order <= MAX_CATALOG_ORDER:
         raise ValueError(
             f"max_order must be between 1 and {MAX_CATALOG_ORDER}, got {max_order}"
         )
-    entries = [
-        _named(cyclic(1), "Z1"),
-        _named(cyclic(2), "Z2"),
-        _named(cyclic(3), "Z3"),
-        _named(cyclic(4), "Z4"),
-        _named(direct_product(cyclic(2), cyclic(2)), "Z2xZ2"),
-        _named(cyclic(5), "Z5"),
-        _named(cyclic(6), "Z6"),
-        _named(symmetric(3), "S3"),
-        _named(cyclic(7), "Z7"),
-        _named(cyclic(8), "Z8"),
-        _named(direct_product(cyclic(2), cyclic(4)), "Z2xZ4"),
-        _named(direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))), "Z2xZ2xZ2"),
-        _named(dihedral(4), "D4"),
-        _named(quaternion(), "Q8"),
-        _named(cyclic(9), "Z9"),
-        _named(direct_product(cyclic(3), cyclic(3)), "Z3xZ3"),
-        _named(cyclic(10), "Z10"),
-        _named(dihedral(5), "D5"),
-        _named(cyclic(11), "Z11"),
-        _named(cyclic(12), "Z12"),
-        _named(direct_product(cyclic(2), cyclic(6)), "Z2xZ6"),
-        _named(dihedral(6), "D6"),
-        _named(alternating(4), "A4"),
-        _named(dicyclic(3), "Dic3"),
-        _named(cyclic(13), "Z13"),
-        _named(cyclic(14), "Z14"),
-        _named(dihedral(7), "D7"),
-        _named(cyclic(15), "Z15"),
+    groups = [
+        cyclic(1),
+        cyclic(2),
+        cyclic(3),
+        cyclic(4),
+        direct_product(cyclic(2), cyclic(2)),
+        cyclic(5),
+        cyclic(6),
+        symmetric(3),
+        cyclic(7),
+        cyclic(8),
+        direct_product(cyclic(2), cyclic(4)),
+        direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))),
+        dihedral(4),
+        quaternion(),
+        cyclic(9),
+        direct_product(cyclic(3), cyclic(3)),
+        cyclic(10),
+        dihedral(5),
+        cyclic(11),
+        cyclic(12),
+        direct_product(cyclic(2), cyclic(6)),
+        dihedral(6),
+        alternating(4),
+        dicyclic(3),
+        cyclic(13),
+        cyclic(14),
+        dihedral(7),
+        cyclic(15),
     ]
-    return [e for e in entries if e.order <= max_order]
+    return [CatalogEntry(name=g.name, order=g.order, group=g)
+            for g in groups if g.order <= max_order]
 
 
 def catalog_entry(name: str) -> CatalogEntry:

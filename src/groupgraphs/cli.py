@@ -79,8 +79,9 @@ def _parse_atom(token: str) -> FiniteGroup:
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Build a group from a spec like ``Z6``, ``D4``, or ``Z2xZ2xZ3``.
 
-    Products fold left, so ``AxBxC`` means ``(AxB)xC``; the resulting
-    group keeps the spec as its name.
+    Products fold left, so ``AxBxC`` means ``(AxB)xC``.  The group is named
+    by its constructors, so the name is the spec's canonical spelling
+    (``Z06`` gives ``Z6``).
     """
     parts = spec.split("x")
     if any(part == "" for part in parts):
@@ -92,7 +93,6 @@ def parse_group_spec(spec: str) -> FiniteGroup:
             raise ValueError(
                 f"group spec {spec!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
             )
-    group.name = spec
     return group
 
 

@@ -6,14 +6,18 @@ identity fixing a vertex.  Recognition therefore runs cheap necessary
 conditions first (every Cayley graph is vertex-transitive, every
 vertex-transitive graph has constant degrees) and only then searches the
 full automorphism list for a regular subgroup.
+
+Both searches live here, in pure Python: automorphism enumeration over
+packed bit-rows of the arc relation, and regular-subgroup search over
+image tuples.  Their output order is lexicographic and deterministic.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
-from . import _backend
 from .cayley import ConnectionSet, directed_cayley, undirected_cayley
 from .errors import SearchBoundExceeded
 from .graphs import Digraph, SimpleGraph
@@ -91,6 +95,30 @@ def _uniform(graph: Graph) -> bool:
     return graph.is_complete() or graph.is_edgeless()
 
 
+def backend_name() -> str:
+    """Name of the search implementation; there is one, in pure Python."""
+    return "pure-python"
+
+
+def _bounded_search(graph: Graph, bound: int) -> list[tuple[int, ...]]:
+    """The bound check, then the full automorphism search as image tuples."""
+    if graph.order > bound:
+        raise SearchBoundExceeded(graph.order, bound)
+    return _search_automorphisms(graph.order, graph.rows)
+
+
+def _checked_regular_subgroup(
+    n: int, images: list[tuple[int, ...]]
+) -> list[Permutation] | None:
+    """Regular-subgroup search over image tuples, wrapped and re-checked."""
+    result = _search_regular_subgroup(n, images)
+    if result is None:
+        return None
+    members = [Permutation(p) for p in result]
+    _check_regular(members, set(images), n)
+    return members
+
+
 def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutation]:
     """The full automorphism list, in lexicographic order of image arrays.
 
@@ -98,10 +126,7 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     digraphs.  The list always contains the identity and is closed under
     composition and inversion.
     """
-    if graph.order > bound:
-        raise SearchBoundExceeded(graph.order, bound)
-    images = _backend.search_automorphisms(graph.order, graph.rows)
-    return [Permutation(p) for p in images]
+    return [Permutation(p) for p in _bounded_search(graph, bound)]
 
 
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
@@ -114,10 +139,7 @@ def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
         return False
     if _uniform(graph):
         return True
-    if graph.order > bound:
-        raise SearchBoundExceeded(graph.order, bound)
-    images = _backend.search_automorphisms(graph.order, graph.rows)
-    return len({p[0] for p in images}) == graph.order
+    return len({p[0] for p in _bounded_search(graph, bound)}) == graph.order
 
 
 def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] | None:
@@ -128,13 +150,7 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     order of image arrays, so the result is deterministic; members are
     returned ordered by their image of 0.
     """
-    ordered = sorted(auts)
-    result = _backend.search_regular_subgroup(n, [p.images for p in ordered])
-    if result is None:
-        return None
-    members = [Permutation(p) for p in result]
-    _check_regular(members, {p.images for p in ordered}, n)
-    return members
+    return _checked_regular_subgroup(n, [p.images for p in sorted(auts)])
 
 
 def _check_regular(members: list[Permutation], aut_images: set, n: int) -> None:
@@ -197,14 +213,134 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if _uniform(graph):
         return _rotation_witness(graph)
     n = graph.order
-    if n > bound:
-        raise SearchBoundExceeded(n, bound)
-    images = _backend.search_automorphisms(n, graph.rows)
+    images = _bounded_search(graph, bound)
     if len({p[0] for p in images}) != n:
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    subgroup = _backend.search_regular_subgroup(n, images)
-    if subgroup is None:
+    members = _checked_regular_subgroup(n, images)
+    if members is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
-    members = [Permutation(p) for p in subgroup]
-    _check_regular(members, set(images), n)
     return _witness_from_subgroup(graph, members)
+
+
+# -- the search kernels -----------------------------------------------------
+
+def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
+    """All permutations preserving the relation, in lexicographic order.
+
+    Backtracks over a degree-partition: vertex u may map only to vertices
+    with the same (out-degree, in-degree) pair, and each tentative image
+    is checked incrementally against all previously assigned vertices.
+    """
+    rows = [int(r) for r in rows]
+    cols = [0] * n
+    for u in range(n):
+        r = rows[u]
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << u
+            r &= r - 1
+
+    keys = [(rows[v].bit_count(), cols[v].bit_count()) for v in range(n)]
+    cand = [0] * n
+    for u in range(n):
+        mask = 0
+        for v in range(n):
+            if keys[v] == keys[u]:
+                mask |= 1 << v
+        cand[u] = mask
+
+    img = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(k: int, used: int) -> None:
+        if k == n:
+            found.append(tuple(img))
+            return
+        rk = rows[k]
+        avail = cand[k] & ~used
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            v = low.bit_length() - 1
+            rv = rows[v]
+            ok = True
+            for u in range(k):
+                iu = img[u]
+                if ((rk >> u) & 1) != ((rv >> iu) & 1):
+                    ok = False
+                    break
+                if ((rows[u] >> k) & 1) != ((rows[iu] >> v) & 1):
+                    ok = False
+                    break
+            if ok:
+                img[k] = v
+                extend(k + 1, used | low)
+        return
+
+    extend(0, 0)
+    return found
+
+
+def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(p[x] for x in q)
+
+
+def _search_regular_subgroup(
+    n: int, perms: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]] | None:
+    """A subgroup of `perms` with exactly one member sending 0 to each vertex.
+
+    `perms` must be a full automorphism list (closed under composition).
+    Backtracks over the candidates for the lowest unresolved vertex, in the
+    given order, and propagates closure under composition: each forced
+    product either matches an existing choice or pins down a new vertex.
+    Returns the members ordered by their image of 0, or None.
+    """
+    perms = [tuple(p) for p in perms]
+    identity = tuple(range(n))
+    if identity not in perms:
+        return None
+
+    cand: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for p in perms:
+        cand[p[0]].append(p)
+    if any(not c for c in cand):
+        return None  # not even transitive
+
+    def close(sel: list[tuple[int, ...] | None], v: int,
+              p: tuple[int, ...]) -> list[tuple[int, ...] | None] | None:
+        sel = list(sel)
+        sel[v] = p
+        queue = [p]
+        head = 0
+        while head < len(queue):
+            q = queue[head]
+            head += 1
+            for r in sel:
+                if r is None:
+                    continue
+                for t in (_compose(q, r), _compose(r, q)):
+                    w = t[0]
+                    existing = sel[w]
+                    if existing is None:
+                        sel[w] = t
+                        queue.append(t)
+                    elif existing != t:
+                        return None
+        return sel
+
+    def extend(sel: list[tuple[int, ...] | None]) -> list[tuple[int, ...]] | None:
+        for v in range(n):
+            if sel[v] is None:
+                for p in cand[v]:
+                    nxt = close(sel, v, p)
+                    if nxt is not None:
+                        result = extend(nxt)
+                        if result is not None:
+                            return result
+                return None
+        return [p for p in sel if p is not None]
+
+    start: list[tuple[int, ...] | None] = [None] * n
+    start[0] = identity
+    return extend(start)

@@ -57,6 +57,11 @@ def test_max_order_filter() -> None:
     assert len(catalog(1)) == 1
     assert len(catalog(8)) == 14
     assert [e.name for e in catalog(4)] == ["Z1", "Z2", "Z3", "Z4", "Z2xZ2"]
+    assert [e.name for e in catalog()] == [
+        "Z1", "Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "S3", "Z7", "Z8", "Z2xZ4",
+        "Z2xZ2xZ2", "D4", "Q8", "Z9", "Z3xZ3", "Z10", "D5", "Z11", "Z12", "Z2xZ6",
+        "D6", "A4", "Dic3", "Z13", "Z14", "D7", "Z15",
+    ]
     with pytest.raises(ValueError):
         catalog(0)
     with pytest.raises(ValueError):

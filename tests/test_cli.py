@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,8 @@ def test_parse_group_spec_atoms() -> None:
 def test_parse_group_spec_products() -> None:
     group = parse_group_spec("Z2xZ6")
     assert group.order == 12
-    assert group.name == "Z2xZ6"
+    for spec, name in (("Z2xZ6", "Z2xZ6"), ("Z2xZ2xZ3", "Z2xZ2xZ3"), ("Z06", "Z6")):
+        assert parse_group_spec(spec).name == name
     assert group.is_abelian()
     triple = parse_group_spec("Z2xZ2xZ2")
     assert triple.order == 8
@@ -233,11 +235,15 @@ def test_out_flag_writes_file(capsys, tmp_path: Path) -> None:
 
 
 def test_module_entry_point_subprocess() -> None:
+    # the child imports the same package as this test, wherever it came from
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "groupgraphs.cli", "verify", "--max-order", "5"],
         capture_output=True,
         text=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0
     assert "Z2xZ2" in result.stdout

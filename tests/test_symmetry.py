@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+import groupgraphs
 from groupgraphs import cayley, groups, powergraph, symmetry
 from groupgraphs.cayley import ConnectionSet
 from groupgraphs.errors import SearchBoundExceeded
@@ -27,6 +28,15 @@ def test_k4_has_24_automorphisms() -> None:
 def test_c4_has_8_automorphisms() -> None:
     auts = symmetry.automorphisms(cycle_graph(4))
     assert len(auts) == 8
+
+
+def test_c70_automorphisms_need_rows_wider_than_64_bits() -> None:
+    auts = symmetry.automorphisms(cycle_graph(70), bound=70)
+    assert len(auts) == 140  # dihedral symmetries of C_70
+
+
+def test_search_reports_pure_python() -> None:
+    assert groupgraphs.backend_name() == "pure-python"
 
 
 def test_pg_s3_has_12_automorphisms() -> None:
