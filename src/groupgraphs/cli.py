@@ -26,6 +26,7 @@ import json
 import math
 import re
 import sys
+from typing import Callable
 
 from . import graphs, groups, powergraph, symmetry
 from . import cayley as cayley_mod
@@ -40,40 +41,28 @@ MAX_CLI_GROUP_ORDER = 4096
 _ATOM_RE = re.compile(r"(Dic|Z|D|S|A)([0-9]+)")
 
 
-def _atom_order(kind: str, num: int) -> int:
-    if kind == "Z":
-        return num
-    if kind == "D":
-        return 2 * num
-    if kind == "Dic":
-        return 4 * num
-    if kind == "S":
-        return math.factorial(num)
-    return math.factorial(num) // 2  # A
-
-
-def _parse_atom(token: str) -> FiniteGroup:
+def _parse_atom(token: str) -> tuple[int, Callable[[], FiniteGroup]]:
+    """One factor's order and its constructor, checked but not yet called."""
     if token == "Q8":
-        return groups.quaternion()
+        return 8, groups.quaternion
     match = _ATOM_RE.fullmatch(token)
     if match is None:
         raise ValueError(
             f"bad group spec {token!r}: expected Zn, Dn, Sn, An, Q8, or Dicn"
         )
     kind, num = match.group(1), int(match.group(2))
-    if _atom_order(kind, num) > MAX_CLI_GROUP_ORDER:
+    if kind in ("S", "A"):
+        # k! grows with k and 8!/2 is already over the limit, so cap k first
+        order = math.factorial(min(num, 8)) // (2 if kind == "A" else 1)
+    else:
+        order = {"Z": 1, "D": 2, "Dic": 4}[kind] * num
+    if order > MAX_CLI_GROUP_ORDER:
         raise ValueError(
             f"group spec {token!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
         )
-    if kind == "Z":
-        return groups.cyclic(num)
-    if kind == "D":
-        return groups.dihedral(num)
-    if kind == "S":
-        return groups.symmetric(num)
-    if kind == "A":
-        return groups.alternating(num)
-    return groups.dicyclic(num)
+    build = {"Z": groups.cyclic, "D": groups.dihedral, "S": groups.symmetric,
+             "A": groups.alternating, "Dic": groups.dicyclic}[kind]
+    return order, lambda: build(num)
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -81,22 +70,30 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
     Products fold left, so ``AxBxC`` means ``(AxB)xC``.  The group is named
     by its constructors, so the name is the spec's canonical spelling
-    (``Z06`` gives ``Z6``).
+    (``Z06`` gives ``Z6``).  Every order is checked against the CLI limit
+    before any group is built.
     """
     parts = spec.split("x")
     if any(part == "" for part in parts):
         raise ValueError(f"bad group spec {spec!r}: empty factor")
-    group = _parse_atom(parts[0])
-    for part in parts[1:]:
-        group = groups.direct_product(group, _parse_atom(part))
-        if group.order > MAX_CLI_GROUP_ORDER:
+    order, builders = 1, []
+    for part in parts:
+        factor, build = _parse_atom(part)
+        order *= factor
+        if order > MAX_CLI_GROUP_ORDER:
             raise ValueError(
                 f"group spec {spec!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
             )
+        builders.append(build)
+    group = builders[0]()
+    for build in builders[1:]:
+        group = groups.direct_product(group, build())
     return group
 
 
-def _parse_connection_members(text: str) -> tuple[int, ...]:
+def _parse_connection_members(text: str | None) -> tuple[int, ...] | None:
+    if text is None:
+        return None
     stripped = text.strip()
     if not stripped:
         return ()
@@ -130,16 +127,12 @@ def _read_graphs(path: str) -> list[SimpleGraph | Digraph]:
     return out
 
 
-def _encode_graph(graph: SimpleGraph | Digraph) -> str:
-    if isinstance(graph, Digraph):
-        return graphs.to_digraph6(graph)
-    return graphs.to_graph6(graph)
-
-
 def _render_graph(graph: SimpleGraph | Digraph, fmt: str,
                   labels: tuple[str, ...] | None = None) -> str:
     if fmt == "graph6":
-        return _encode_graph(graph)
+        if isinstance(graph, Digraph):
+            return graphs.to_digraph6(graph)
+        return graphs.to_graph6(graph)
     if fmt == "dot":
         return graphs.to_dot(graph, labels)
     if fmt == "json":
@@ -159,44 +152,37 @@ def _write_output(text: str, path: str | None) -> None:
                 handle.write("\n")
 
 
+def _group_graph(group: FiniteGroup, members: tuple[int, ...] | None,
+                 directed: bool) -> SimpleGraph | Digraph:
+    """The power graph of `group`, or its Cayley graph when `members` is given."""
+    if members is None:
+        if directed:
+            return powergraph.directed_power_graph(group)
+        return powergraph.undirected_power_graph(group)
+    conn = cayley_mod.ConnectionSet(group.order, members)
+    if directed:
+        return cayley_mod.directed_cayley(group, conn)
+    return cayley_mod.undirected_cayley(group, conn)
+
+
 def _input_graphs(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> list[SimpleGraph | Digraph]:
     """Resolve the graph source for ``aut`` and ``is-cayley``."""
     if (args.infile is None) == (args.group is None):
         parser.error("exactly one of --in and --group is required")
     if args.infile is not None:
-        return [*_read_graphs(args.infile)]
+        return _read_graphs(args.infile)
     group = parse_group_spec(args.group)
-    if args.set is not None:
-        conn = cayley_mod.ConnectionSet(group.order, _parse_connection_members(args.set))
-        if args.directed:
-            return [cayley_mod.directed_cayley(group, conn)]
-        return [cayley_mod.undirected_cayley(group, conn)]
-    if args.directed:
-        return [powergraph.directed_power_graph(group)]
-    return [powergraph.undirected_power_graph(group)]
+    return [_group_graph(group, _parse_connection_members(args.set), args.directed)]
 
 
 # -- subcommands ------------------------------------------------------------
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> int:
+    """``power`` and ``cayley``: one graph of the group, in the chosen format."""
     group = parse_group_spec(args.group)
-    if args.directed:
-        graph: SimpleGraph | Digraph = powergraph.directed_power_graph(group)
-    else:
-        graph = powergraph.undirected_power_graph(group)
-    _write_output(_render_graph(graph, args.format, group.element_names), args.out)
-    return 0
-
-
-def _cmd_cayley(args: argparse.Namespace) -> int:
-    group = parse_group_spec(args.group)
-    conn = cayley_mod.ConnectionSet(group.order, _parse_connection_members(args.set))
-    if args.directed:
-        graph: SimpleGraph | Digraph = cayley_mod.directed_cayley(group, conn)
-    else:
-        graph = cayley_mod.undirected_cayley(group, conn)
+    graph = _group_graph(group, _parse_connection_members(args.set), args.directed)
     _write_output(_render_graph(graph, args.format, group.element_names), args.out)
     return 0
 
@@ -224,29 +210,23 @@ def _cmd_is_cayley(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     witnesses = []
     for index, graph in enumerate(_input_graphs(args, parser)):
         result = symmetry.is_cayley(graph, bound=args.bound)
-        if result:
-            witnesses.append(result.to_json_dict())
+        if args.witness is not None:
+            witnesses.append(result.to_json_dict() if result else None)
+        if result and args.format == "json":
+            out_lines.append(json.dumps({
+                "index": index, "order": graph.order, "cayley": True,
+                "connection_set": sorted(result.connection),
+            }))
+        elif result:
             conn = ",".join(str(c) for c in result.connection)
-            if args.format == "json":
-                out_lines.append(json.dumps({
-                    "index": index, "order": graph.order, "cayley": True,
-                    "connection_set": sorted(result.connection),
-                }))
-            else:
-                out_lines.append(
-                    f"graph {index}: cayley (order {graph.order}, connection {{{conn}}})"
-                )
+            out_lines.append(f"graph {index}: cayley (order {graph.order}, connection {{{conn}}})")
+        elif args.format == "json":
+            out_lines.append(json.dumps({
+                "index": index, "order": graph.order, "cayley": False,
+                "reason": result.reason.value,
+            }))
         else:
-            witnesses.append(None)
-            if args.format == "json":
-                out_lines.append(json.dumps({
-                    "index": index, "order": graph.order, "cayley": False,
-                    "reason": result.reason.value,
-                }))
-            else:
-                out_lines.append(
-                    f"graph {index}: not cayley ({result.reason.value})"
-                )
+            out_lines.append(f"graph {index}: not cayley ({result.reason.value})")
     _write_output("\n".join(out_lines), args.out)
     if args.witness is not None:
         with open(args.witness, "w", encoding="utf-8") as handle:
@@ -306,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group spec, e.g. Z8, D4, Q8, Z2xZ6")
     power.add_argument("--directed", action="store_true",
                        help="directed power graph instead of undirected")
+    power.set_defaults(set=None)
     _add_graph_output_args(power)
 
     cay = subs.add_parser("cayley", help="Cayley graph of a group")
@@ -340,10 +321,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "power":
-            return _cmd_power(args)
-        if args.command == "cayley":
-            return _cmd_cayley(args)
+        if args.command in ("power", "cayley"):
+            return _cmd_build(args)
         if args.command == "aut":
             return _cmd_aut(args, parser)
         if args.command == "is-cayley":

@@ -2,6 +2,10 @@
 
 Adjacency is stored as packed bit-rows (one Python int per vertex) so the
 automorphism search kernels can test adjacency with shifts and masks.
+``SimpleGraph`` and ``Digraph`` share one private base, ``_BitRows``, for
+row validation, construction, queries, equality and hashing; a subclass
+adds only the symmetry check or its own queries, and names the shared
+methods in its own words (edge or arc).
 Whole-graph work (symmetrising, listing pairs, writing large outputs)
 goes through an n x n boolean matrix instead, built from the rows and
 packed back by the one pair of converters below, and constructors
@@ -39,53 +43,117 @@ def _from_matrix(matrix) -> list[int]:
     return [int.from_bytes(row, "little") for row in packed]
 
 
-def _check_rows(order: int, rows: Sequence[int]) -> tuple[int, ...]:
-    if order < 1:
-        raise ValueError(f"graph order must be positive, got {order}")
-    if len(rows) != order:
-        raise ValueError(f"expected {order} bit-rows, got {len(rows)}")
-    full = (1 << order) - 1
-    out = []
-    for v, row in enumerate(rows):
-        row = int(row)
-        if row & ~full:
-            raise VertexOutOfRange(f"row {v} has bits set outside [0, {order})")
-        if (row >> v) & 1:
-            raise ValueError(f"self-loop at vertex {v}")
-        out.append(row)
-    return tuple(out)
+class _BitRows:
+    """The validated bit-rows of one loop-free relation on 0..n-1.
 
-
-class SimpleGraph:
-    """An undirected loop-free graph; adjacency rows are symmetric bitmasks."""
+    Bit v of rows[u] joins u to v.  Subclasses declare no slots of their
+    own, set ``_directed`` and ``_pair``, and publish the private methods
+    below under their own names.
+    """
 
     __slots__ = ("order", "rows")
+    _directed: bool
+    _pair: str
 
     def __init__(self, rows: Sequence[int]):
-        self.rows = _check_rows(len(rows), rows)
-        self.order = len(self.rows)
+        order = len(rows)
+        if order < 1:
+            raise ValueError(f"graph order must be positive, got {order}")
+        full = (1 << order) - 1
+        out = []
+        for v, row in enumerate(rows):
+            row = int(row)
+            if row & ~full:
+                raise VertexOutOfRange(f"row {v} has bits set outside [0, {order})")
+            if (row >> v) & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            out.append(row)
+        self.rows = tuple(out)
+        self.order = order
+
+    @classmethod
+    def from_matrix(cls, matrix: Sequence[Sequence[int]]):
+        """From a square matrix whose nonzero entry [u, v] joins u to v."""
+        return cls(_from_matrix(matrix))
+
+    def _check_vertex(self, v: int) -> int:
+        if not 0 <= v < self.order:
+            raise VertexOutOfRange(f"vertex {v} not in [0, {self.order})")
+        return v
+
+    def _joined(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
+        return bool((self.rows[u] >> v) & 1)
+
+    def _row_degree(self, v: int) -> int:
+        return self.rows[self._check_vertex(v)].bit_count()
+
+    def _pair_count(self) -> int:
+        return sum(r.bit_count() for r in self.rows) // (1 if self._directed else 2)
+
+    def _pair_matrix(self) -> np.ndarray:
+        """Bool adjacency with one True per pair: the upper triangle unless directed."""
+        adj = _to_matrix(self.rows)
+        return adj if self._directed else np.triu(adj, 1)
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        us, vs = np.nonzero(self._pair_matrix())
+        return list(zip(us.tolist(), vs.tolist()))
+
+    def _is_empty(self) -> bool:
+        return not any(self.rows)
+
+    def is_complete(self) -> bool:
+        """True iff every ordered pair of distinct vertices is joined."""
+        full = (1 << self.order) - 1
+        return all(self.rows[v] == full & ~(1 << v) for v in range(self.order))
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self.rows))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} n={self.order} {self._pair}s={self._pair_count()}>"
+
+
+def _from_pairs(cls, order: int, pairs: Iterable[tuple[int, int]]):
+    """``from_edges``/``from_arcs``: an undirected pair sets both bits."""
+    rows = [0] * order
+    for u, v in pairs:
+        if not (0 <= u < order and 0 <= v < order):
+            raise VertexOutOfRange(f"{cls._pair} ({u}, {v}) not inside [0, {order})")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        rows[u] |= 1 << v
+        if not cls._directed:
+            rows[v] |= 1 << u
+    return cls(rows)
+
+
+class SimpleGraph(_BitRows):
+    """An undirected loop-free graph; adjacency rows are symmetric bitmasks."""
+
+    __slots__ = ()
+    _directed = False
+    _pair = "edge"
+
+    def __init__(self, rows: Sequence[int]):
+        super().__init__(rows)
         adj = _to_matrix(self.rows)
         if not np.array_equal(adj, adj.T):
             # the mismatches are symmetric, so the first in row-major order has u < v
             u, v = np.argwhere(adj != adj.T)[0].tolist()
             raise ValueError(f"adjacency not symmetric at pair ({u}, {v})")
 
-    @classmethod
-    def from_edges(cls, order: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
-        rows = [0] * order
-        for u, v in edges:
-            if not (0 <= u < order and 0 <= v < order):
-                raise VertexOutOfRange(f"edge ({u}, {v}) not inside [0, {order})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return cls(rows)
-
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> SimpleGraph:
-        """From a square matrix whose nonzero entries mark adjacent pairs."""
-        return cls(_from_matrix(matrix))
+    from_edges = classmethod(_from_pairs)
+    has_edge = _BitRows._joined
+    degree = _BitRows._row_degree
+    edge_count = _BitRows._pair_count
+    edges = _BitRows._pairs
+    is_edgeless = _BitRows._is_empty
 
     @classmethod
     def complete(cls, order: int) -> SimpleGraph:
@@ -96,104 +164,36 @@ class SimpleGraph:
     def edgeless(cls, order: int) -> SimpleGraph:
         return cls([0] * order)
 
-    def _check_vertex(self, v: int) -> int:
-        if not 0 <= v < self.order:
-            raise VertexOutOfRange(f"vertex {v} not in [0, {self.order})")
-        return v
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.rows[u] >> v) & 1)
-
     def neighbors(self, v: int) -> list[int]:
         row = self.rows[self._check_vertex(v)]
         return [u for u in range(self.order) if (row >> u) & 1]
-
-    def degree(self, v: int) -> int:
-        return self.rows[self._check_vertex(v)].bit_count()
 
     def degree_sequence(self) -> list[int]:
         """Degrees as a descending list."""
         return sorted((r.bit_count() for r in self.rows), reverse=True)
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(_to_matrix(self.rows), 1))
-        return list(zip(us.tolist(), vs.tolist()))
-
-    def is_complete(self) -> bool:
-        full = (1 << self.order) - 1
-        return all(self.rows[v] == full & ~(1 << v) for v in range(self.order))
-
-    def is_edgeless(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
     def is_regular(self) -> bool:
         degrees = {r.bit_count() for r in self.rows}
         return len(degrees) == 1
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SimpleGraph)
-                and self.order == other.order and self.rows == other.rows)
 
-    def __hash__(self) -> int:
-        return hash(("SimpleGraph", self.rows))
-
-    def __repr__(self) -> str:
-        return f"<SimpleGraph n={self.order} edges={self.edge_count()}>"
-
-
-class Digraph:
+class Digraph(_BitRows):
     """A loop-free directed graph; rows[v] is the bitmask of out-neighbors."""
 
-    __slots__ = ("order", "rows")
+    __slots__ = ()
+    _directed = True
+    _pair = "arc"
 
-    def __init__(self, rows: Sequence[int]):
-        self.rows = _check_rows(len(rows), rows)
-        self.order = len(self.rows)
-
-    @classmethod
-    def from_arcs(cls, order: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-        rows = [0] * order
-        for u, v in arcs:
-            if not (0 <= u < order and 0 <= v < order):
-                raise VertexOutOfRange(f"arc ({u}, {v}) not inside [0, {order})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            rows[u] |= 1 << v
-        return cls(rows)
-
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[int]]) -> Digraph:
-        """From a square matrix whose nonzero entry [u, v] marks the arc u -> v."""
-        return cls(_from_matrix(matrix))
-
-    def _check_vertex(self, v: int) -> int:
-        if not 0 <= v < self.order:
-            raise VertexOutOfRange(f"vertex {v} not in [0, {self.order})")
-        return v
-
-    def has_arc(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.rows[u] >> v) & 1)
-
-    def out_degree(self, v: int) -> int:
-        return self.rows[self._check_vertex(v)].bit_count()
+    from_arcs = classmethod(_from_pairs)
+    has_arc = _BitRows._joined
+    out_degree = _BitRows._row_degree
+    arc_count = _BitRows._pair_count
+    arcs = _BitRows._pairs
+    is_arcless = _BitRows._is_empty
 
     def in_degree(self, v: int) -> int:
         self._check_vertex(v)
         return sum((r >> v) & 1 for r in self.rows)
-
-    def arc_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(_to_matrix(self.rows))
-        return list(zip(us.tolist(), vs.tolist()))
 
     def has_constant_in_out_degrees(self) -> bool:
         """True iff all in-degrees agree and all out-degrees agree."""
@@ -203,28 +203,10 @@ class Digraph:
         ins = np.count_nonzero(_to_matrix(self.rows), axis=0)
         return bool((ins == ins[0]).all())
 
-    def is_complete(self) -> bool:
-        """True iff every ordered pair of distinct vertices is an arc."""
-        full = (1 << self.order) - 1
-        return all(self.rows[v] == full & ~(1 << v) for v in range(self.order))
-
-    def is_arcless(self) -> bool:
-        return all(r == 0 for r in self.rows)
-
     def underlying_undirected(self) -> SimpleGraph:
         """Forget orientation: u and v become adjacent iff either arc exists."""
         adj = _to_matrix(self.rows)
         return SimpleGraph(_from_matrix(adj | adj.T))
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Digraph)
-                and self.order == other.order and self.rows == other.rows)
-
-    def __hash__(self) -> int:
-        return hash(("Digraph", self.rows))
-
-    def __repr__(self) -> str:
-        return f"<Digraph n={self.order} arcs={self.arc_count()}>"
 
 
 # -- graph6 / digraph6 ------------------------------------------------------
@@ -342,9 +324,7 @@ def _pair_text(graph: SimpleGraph | Digraph, head: str, tail: str, sep: str) -> 
     of one u are joined by sep in ascending v.  Whole matrix rows are
     formatted at once, so no tuple or string is made per pair.
     """
-    adj = _to_matrix(graph.rows)
-    if not isinstance(graph, Digraph):
-        adj = np.triu(adj, 1)
+    adj = graph._pair_matrix()
     tails = np.array([tail.format(v) for v in range(graph.order)], dtype=object)
     out = []
     for u, row in enumerate(adj):

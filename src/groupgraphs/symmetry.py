@@ -90,9 +90,7 @@ def _degrees_constant(graph: Graph) -> bool:
 
 def _uniform(graph: Graph) -> bool:
     """Complete or edgeless: Cayley for trivial reasons, no search needed."""
-    if isinstance(graph, Digraph):
-        return graph.is_complete() or graph.is_arcless()
-    return graph.is_complete() or graph.is_edgeless()
+    return graph.is_complete() or not any(graph.rows)
 
 
 def backend_name() -> str:
@@ -170,26 +168,17 @@ def _check_regular(members: list[Permutation], aut_images: set, n: int) -> None:
                 raise ValueError("regular subgroup candidate is not closed")
 
 
-def _rotation_witness(graph: Graph) -> CayleyWitness:
-    """Witness for a complete or edgeless graph: rotations of a cyclic group."""
-    n = graph.order
-    group = cyclic(n)
-    members = () if graph.rows[0] == 0 else range(1, n)
-    connection = ConnectionSet(n, members)
-    vertex_map = tuple(
-        Permutation((v + i) % n for i in range(n)) for v in range(n)
-    )
-    return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
+def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
+    """The witness of `group` acting on the vertices through its own table.
 
-
-def _witness_from_subgroup(graph: Graph, members: list[Permutation]) -> CayleyWitness:
+    Row v of the table, read as a permutation, is the automorphism sending
+    0 to v; the connection set is the out-neighbourhood of vertex 0.
+    """
     n = graph.order
-    # sigma_g . sigma_h = sigma_{g*h} turns the image arrays into the table
-    table = [list(p.images) for p in members]
-    group = FiniteGroup(table)
     row = graph.rows[0]
     connection = ConnectionSet(n, (v for v in range(n) if (row >> v) & 1))
-    return CayleyWitness(group, connection, tuple(members), isinstance(graph, Digraph))
+    vertex_map = tuple(Permutation(images) for images in group.table.tolist())
+    return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
 
 
 def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness | NotCayley:
@@ -211,7 +200,7 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if not _degrees_constant(graph):
         return NotCayley(NotCayleyReason.NOT_REGULAR_DEGREE)
     if _uniform(graph):
-        return _rotation_witness(graph)
+        return _witness(graph, cyclic(graph.order))
     n = graph.order
     images = _bounded_search(graph, bound)
     if len({p[0] for p in images}) != n:
@@ -219,7 +208,8 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     members = _checked_regular_subgroup(n, images)
     if members is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
-    return _witness_from_subgroup(graph, members)
+    # sigma_g . sigma_h = sigma_{g*h} turns the image arrays into the table
+    return _witness(graph, FiniteGroup([p.images for p in members]))
 
 
 # -- the search kernels -----------------------------------------------------

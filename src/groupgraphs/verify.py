@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from .catalog import MAX_CATALOG_ORDER, CatalogEntry, catalog
 from .errors import InconsistentRow
 from .powergraph import directed_power_graph, undirected_power_graph
-from .symmetry import DEFAULT_CAYLEY_BOUND, is_cayley, is_vertex_transitive
+from .symmetry import is_cayley, is_vertex_transitive
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,20 @@ def _row_consistent(
     return undirected_ok and directed_ok
 
 
-def verify_group(entry: CatalogEntry, bound: int = DEFAULT_CAYLEY_BOUND) -> VerificationRow:
-    """Compute the verification row for a single catalog entry."""
+def verify_group(entry: CatalogEntry) -> VerificationRow:
+    """Compute the verification row for a single catalog entry.
+
+    The identity is joined to every element, so the degree filter or the
+    complete fast path settles every decision here without a search.
+    """
     group = entry.group
     pg = undirected_power_graph(group)
     dpg = directed_power_graph(group)
     cyclic_p = group.is_cyclic_p_group()
     pg_complete = pg.is_complete()
-    pg_vt = is_vertex_transitive(pg, bound=bound)
-    pg_cay = bool(is_cayley(pg, bound=bound))
-    dpg_cay = bool(is_cayley(dpg, bound=bound))
+    pg_vt = is_vertex_transitive(pg)
+    pg_cay = bool(is_cayley(pg))
+    dpg_cay = bool(is_cayley(dpg))
     return VerificationRow(
         name=entry.name,
         order=entry.order,
@@ -74,18 +78,14 @@ def verify_group(entry: CatalogEntry, bound: int = DEFAULT_CAYLEY_BOUND) -> Veri
     )
 
 
-def verify_theorem(
-    max_order: int = MAX_CATALOG_ORDER,
-    bound: int = DEFAULT_CAYLEY_BOUND,
-    strict: bool = False,
-) -> list[VerificationRow]:
+def verify_theorem(max_order: int = MAX_CATALOG_ORDER, strict: bool = False) -> list[VerificationRow]:
     """Verify the theorem over all catalog groups of order <= ``max_order``.
 
     Returns one row per group.  With ``strict=True`` an
     :class:`~groupgraphs.errors.InconsistentRow` is raised if any row
     fails; the offending rows are attached to the exception.
     """
-    rows = [verify_group(entry, bound=bound) for entry in catalog(max_order)]
+    rows = [verify_group(entry) for entry in catalog(max_order)]
     bad = [r for r in rows if not r.consistent]
     if strict and bad:
         raise InconsistentRow(bad)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -47,9 +48,26 @@ def test_parse_group_spec_rejects_garbage() -> None:
             parse_group_spec(bad)
 
 
-def test_parse_group_spec_order_limit() -> None:
-    with pytest.raises(ValueError):
-        parse_group_spec("S8")
+def test_parse_group_spec_order_limit(monkeypatch) -> None:
+    # every order is checked before any group is built
+    def no_build(*args):
+        raise AssertionError("a group was built for an oversized spec")
+
+    for name in ("cyclic", "symmetric", "alternating", "direct_product"):
+        monkeypatch.setattr(groups, name, no_build)
+    for spec, culprit in (("S8", "S8"), ("S3000000", "S3000000"), ("A3000000", "A3000000"),
+                          ("Z4096xZ2", "Z4096xZ2"), ("S6xS6", "S6xS6")):
+        with pytest.raises(ValueError, match=f"group spec '{culprit}' exceeds the CLI order limit"):
+            parse_group_spec(spec)
+
+
+def test_oversized_group_spec_is_one_error_line(capsys) -> None:
+    code = main(["power", "--group", "S6xS6"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_power_graph6_output(capsys) -> None:
@@ -152,6 +170,17 @@ def test_is_cayley_batch_mixed_formats(capsys, tmp_path: Path) -> None:
     assert "cayley" in lines[2] and "not" not in lines[2]
 
 
+# sha256 of witness files, recorded before the two witness builders were
+# folded into one: K_4, Z8 and Z7 take the complete/edgeless fast path, the
+# Cayley graphs of Z6 and Z5 the regular-subgroup search.
+WITNESS_DIGESTS = [
+    ("--group Z8", "5c38207e4314c7fa0d181880ed957bb2c1088f9decd52a38753f6e496d7d1252"),
+    ("--group Z7 --set ''", "123cd6ef6903467028733086dc822e4327020f8d0054bc3804a025c17f3cb34e"),
+    ("--group Z6 --set 1,5", "72e92ea7270ce876b42f0f2d83055248ad2aae50f61c4ede34a5cdcd81a1ae0f"),
+    ("--group Z5 --set 1 --directed", "c1acdeee06ef9adc2b2cf3c20f8ce208b342f2ee0880ca5008968ceda0662888"),
+]
+
+
 def test_is_cayley_witness_file(capsys, tmp_path: Path) -> None:
     infile = tmp_path / "in.g6"
     infile.write_text("C~\nEse?\n", encoding="ascii")  # K_4 and pg(S3)
@@ -165,6 +194,12 @@ def test_is_cayley_witness_file(capsys, tmp_path: Path) -> None:
     assert payload[0]["cayley"] is True
     assert payload[0]["group_order"] == 4
     assert payload[1] is None
+    assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == (
+        "4633f47cf18fa358391ead904d02b54c56b5383467f50fbc831fa1579dc5918d")
+    for argv, digest in WITNESS_DIGESTS:
+        code, _ = run(capsys, "is-cayley", *shlex.split(argv), "--witness", str(witness_path))
+        assert code == 0
+        assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == digest, argv
 
 
 def test_is_cayley_json_format(capsys) -> None:
@@ -348,13 +383,26 @@ CLI_OUTPUT_DIGESTS = [
     ("cayley --group D64 --format json --set 1,2,3 --directed", 0, "f30c76a8cc807d583fed34bff8083ebc4e7a5964fd7ccc4d9a5b1a89b29a64f9"),
     ("cayley --group D64 --format table --set 1,2,3 --directed", 0, "6499bc98c6b9c2034223c8995893928a21de1107bdbbe1d7359ca2e01a0a5e6b"),
     ("cayley --group D64 --format dot --set 1,2,3 --directed", 0, "f56a1b2aeea4dd261e96d7df52492a671dd4a678a22f24f689e79a9a764ef58f"),
+    # recognition output, recorded before the two witness builders were folded into one
+    ("is-cayley --group Z8 --format json", 0, "4e8f5753691b9dd22bf19413390792cdaaedd8e0c19e7a8dd78e5ebf0332cbc4"),
+    ("is-cayley --group Z8 --format table", 0, "83ec9e806052195157e9503fffd782bba6b7ec550a7d0873bddbe0bea9d36b5f"),
+    ("is-cayley --group Z6 --set 1,5 --format json", 0, "019c06cba8a87f073d02cc349fe7c8f61812a51a301ac0b8def6cbcefb0e6b99"),
+    ("is-cayley --group Z6 --set 1,5 --format table", 0, "7a69a5fde19e650e6e344805b15c35ac71f0949a849ed2ff73405c30d805c35b"),
+    ("is-cayley --group Z5 --set 1 --directed --format json", 0, "faaaa1f55ec1738d9c1a690838183845206929709193bb46b26d4e25e1f73eb7"),
+    ("is-cayley --group Z5 --set 1 --directed --format table", 0, "bff002447f7b436d3b068b8f685211ccc54c8d4ed6ad59b42bd6f6e1f138cef2"),
+    ("is-cayley --group S3 --format json", 0, "cd751d6362a1e706b4eaa7f9ad329d64f81b7ebc6e8d6de05dcd29ea18b87297"),
+    ("is-cayley --group S3 --format table", 0, "36bdb31f1bc512d875b3427c8ee49029fd69f19131974a26edbefe86580e72e2"),
+    ("is-cayley --group Z7 --set '' --format json", 0, "03a00619a8d9ae43e1f66e90caf576a7ad8089e9a05c088a732ad56b74ad8624"),
+    ("is-cayley --group Z7 --set '' --format table", 0, "0ace19d60efd9827c90da132458f708d85d1cc06255d013b2eb542769ac46cd8"),
+    ("aut --group Z6 --set 1,5 --format json", 0, "6f3430d078d031ed71702f514d3f4ae7cf0e071891fe38391600301470d6065f"),
+    ("aut --group Z6 --set 1,5 --format table", 0, "2af49bea8d57f35f30fe9ee7a8536ea248d7598c6f45585a7a2b4f6e5d673f72"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, digest", CLI_OUTPUT_DIGESTS,
                          ids=[case[0] for case in CLI_OUTPUT_DIGESTS])
 def test_construction_output_is_byte_identical(capsys, argv: str, code: int, digest: str) -> None:
-    got_code, out = run(capsys, *argv.split())
+    got_code, out = run(capsys, *shlex.split(argv))
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -201,3 +201,30 @@ def test_asymmetric_rows_report_the_first_pair() -> None:
         SimpleGraph(rows)
     with pytest.raises(ValueError, match=r"at pair \(0, 1\)$"):
         SimpleGraph([1 << 1, 0])
+
+
+def test_graph_and_digraph_with_equal_rows_differ() -> None:
+    rows = [0b110, 0b101, 0b011]
+    graph, digraph = SimpleGraph(rows), Digraph(rows)
+    assert graph != digraph and digraph != graph
+    assert hash(graph) != hash(digraph)
+    assert graph == SimpleGraph.complete(3)
+    assert hash(graph) == hash(SimpleGraph.complete(3))
+    assert {graph, digraph, Digraph(rows)} == {graph, digraph}
+
+
+def test_pair_constructors_name_their_pairs() -> None:
+    with pytest.raises(VertexOutOfRange, match=r"^edge \(0, 3\) not inside \[0, 3\)$"):
+        SimpleGraph.from_edges(3, [(0, 3)])
+    with pytest.raises(VertexOutOfRange, match=r"^arc \(0, 3\) not inside \[0, 3\)$"):
+        Digraph.from_arcs(3, [(0, 3)])
+    # an edge sets both bits, an arc one
+    assert SimpleGraph.from_edges(3, [(0, 2)]).rows == (0b100, 0, 0b001)
+    assert Digraph.from_arcs(3, [(0, 2)]).rows == (0b100, 0, 0)
+
+
+def test_graph_instances_have_no_dict() -> None:
+    for graph in (SimpleGraph.complete(3), Digraph([0b10, 0])):
+        assert not hasattr(graph, "__dict__")
+        with pytest.raises(AttributeError):
+            graph.label = "x"

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from groupgraphs import verify
+from groupgraphs import symmetry, verify
 from groupgraphs.catalog import catalog, catalog_entry
 
 
@@ -99,3 +99,13 @@ def test_jsonl_is_deterministic() -> None:
     first = verify.format_jsonl(verify.verify_theorem(max_order=10))
     second = verify.format_jsonl(verify.verify_theorem(max_order=10))
     assert first == second
+
+
+def test_no_decision_reaches_the_search(monkeypatch) -> None:
+    def no_search(*args, **kwargs):
+        raise AssertionError("verify reached the automorphism search")
+
+    monkeypatch.setattr(symmetry, "_bounded_search", no_search)
+    rows = verify.verify_theorem()
+    assert len(rows) == 28
+    assert all(row.consistent for row in rows)
