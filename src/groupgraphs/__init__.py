@@ -21,7 +21,6 @@ from .errors import (
     ElementOutOfRange,
     GroupGraphsError,
     IdentityInConnectionSet,
-    InconsistentRow,
     InvalidOrder,
     MalformedEncoding,
     NoIdentity,
@@ -79,7 +78,6 @@ __all__ = [
     "FiniteGroup",
     "GroupGraphsError",
     "IdentityInConnectionSet",
-    "InconsistentRow",
     "InvalidOrder",
     "MalformedEncoding",
     "NoIdentity",

@@ -103,4 +103,5 @@ def left_translation(group: FiniteGroup, a: int) -> Permutation:
     """
     if not 0 <= a < group.order:
         raise ElementOutOfRange(f"element {a} not in [0, {group.order})")
-    return Permutation(int(x) for x in group.table[a])
+    # every row already passed the group's Latin-square check
+    return Permutation._unchecked(tuple(group.table[a].tolist()))

@@ -88,17 +88,3 @@ class SearchBoundExceeded(GroupGraphsError):
         self.order = order
         self.bound = bound
 
-
-# -- verification harness ---------------------------------------------------
-
-class InconsistentRow(GroupGraphsError):
-    """A verification row contradicts the expected classification.
-
-    This signals an implementation bug: the statements being checked are
-    exact finite facts, so a clean build never raises it.
-    """
-
-    def __init__(self, rows):
-        names = ", ".join(r.name for r in rows)
-        super().__init__(f"inconsistent verification rows: {names}")
-        self.rows = list(rows)

@@ -10,6 +10,9 @@ class Permutation:
 
     ``p * q`` composes left-to-right through function application:
     ``(p * q)(v) == p(q(v))``.
+
+    Outside input is checked here; permutations the package derives
+    (products, search results, group table rows) skip it via ``_unchecked``.
     """
 
     __slots__ = ("images",)
@@ -21,8 +24,14 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> Permutation:
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> Permutation:
-        return cls(range(n))
+        return cls._unchecked(tuple(range(n)))
 
     @property
     def degree(self) -> int:
@@ -34,13 +43,13 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if self.degree != other.degree:
             raise ValueError("cannot compose permutations of different degrees")
-        return Permutation(self.images[w] for w in other.images)
+        return Permutation._unchecked(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for v, w in enumerate(self.images):
             inv[w] = v
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(w == v for v, w in enumerate(self.images))

@@ -2,10 +2,10 @@
 
 A graph is a Cayley graph of some group exactly when its automorphism
 group contains a regular subgroup: one acting transitively with only the
-identity fixing a vertex.  Recognition therefore runs cheap necessary
-conditions first (every Cayley graph is vertex-transitive, every
-vertex-transitive graph has constant degrees) and only then searches the
-full automorphism list for a regular subgroup.
+identity fixing a vertex (Sabidussi, 1958).  Recognition therefore runs
+cheap necessary conditions first (every Cayley graph is vertex-transitive,
+every vertex-transitive graph has constant degrees) and only then the
+public stages: `automorphisms` and `find_regular_subgroup` on that list.
 
 Both searches live here, in pure Python: automorphism enumeration over
 packed bit-rows of the arc relation, and regular-subgroup search over
@@ -18,7 +18,9 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cayley import ConnectionSet, directed_cayley, undirected_cayley
+import numpy as np
+
+from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
 from .errors import SearchBoundExceeded
 from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup, cyclic
@@ -52,10 +54,10 @@ class NotCayley:
 class CayleyWitness:
     """A group, connection set, and vertex correspondence that rebuild a graph.
 
-    vertex_map[v] is the unique witness automorphism sending vertex 0 to
-    v; the group multiplies by composing those automorphisms, so vertex
-    indices double as element indices and reconstruct() reproduces the
-    recognized graph arc-for-arc.
+    vertex_map[v] is left_translation(group, v), the unique witness
+    automorphism sending vertex 0 to v; the group multiplies by composing
+    those automorphisms, so vertex indices double as element indices and
+    reconstruct() reproduces the recognized graph arc-for-arc.
     """
 
     group: FiniteGroup
@@ -98,25 +100,6 @@ def backend_name() -> str:
     return "pure-python"
 
 
-def _bounded_search(graph: Graph, bound: int) -> list[tuple[int, ...]]:
-    """The bound check, then the full automorphism search as image tuples."""
-    if graph.order > bound:
-        raise SearchBoundExceeded(graph.order, bound)
-    return _search_automorphisms(graph.order, graph.rows)
-
-
-def _checked_regular_subgroup(
-    n: int, images: list[tuple[int, ...]]
-) -> list[Permutation] | None:
-    """Regular-subgroup search over image tuples, wrapped and re-checked."""
-    result = _search_regular_subgroup(n, images)
-    if result is None:
-        return None
-    members = [Permutation(p) for p in result]
-    _check_regular(members, set(images), n)
-    return members
-
-
 def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutation]:
     """The full automorphism list, in lexicographic order of image arrays.
 
@@ -124,7 +107,10 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     digraphs.  The list always contains the identity and is closed under
     composition and inversion.
     """
-    return [Permutation(p) for p in _bounded_search(graph, bound)]
+    if graph.order > bound:
+        raise SearchBoundExceeded(graph.order, bound)
+    # each leaf of the search is a bijection: its `used` mask forbids repeats
+    return [Permutation._unchecked(p) for p in _search_automorphisms(graph.order, graph.rows)]
 
 
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
@@ -137,7 +123,7 @@ def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
         return False
     if _uniform(graph):
         return True
-    return len({p[0] for p in _bounded_search(graph, bound)}) == graph.order
+    return len({p.images[0] for p in automorphisms(graph, bound)}) == graph.order
 
 
 def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] | None:
@@ -148,36 +134,40 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     order of image arrays, so the result is deterministic; members are
     returned ordered by their image of 0.
     """
-    return _checked_regular_subgroup(n, [p.images for p in sorted(auts)])
+    images = sorted(p.images for p in auts)
+    members = _search_regular_subgroup(n, images)
+    if members is None:
+        return None
+    _check_regular(members, set(images), n)
+    return [Permutation._unchecked(p) for p in members]
 
 
-def _check_regular(members: list[Permutation], aut_images: set, n: int) -> None:
+def _check_regular(members: list[tuple[int, ...]], aut_images: set, n: int) -> None:
     # guards against a non-closed input list being handed to the kernel
     if len(members) != n:
         raise ValueError("regular subgroup candidate has wrong size")
     for i, p in enumerate(members):
-        if p.images not in aut_images:
+        if p not in aut_images:
             raise ValueError("kernel returned a permutation outside the input list; "
                              "was the automorphism list closed under composition?")
-        if p(0) != i:
+        if p[0] != i:
             raise ValueError("regular subgroup candidate misses a vertex")
-    images = {p.images for p in members}
-    for p in members:
-        for q in members:
-            if (p * q).images not in images:
-                raise ValueError("regular subgroup candidate is not closed")
+    # members[i] sends 0 to i, so the set is closed iff members[i] * members[j]
+    # is members[i][j]: the table T is associative, T[i, T[j, v]] == T[T[i, j], v]
+    t = np.array(members)
+    if not np.array_equal(t[:, t], t[t]):
+        raise ValueError("regular subgroup candidate is not closed")
 
 
 def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
-    """The witness of `group` acting on the vertices through its own table.
+    """The witness of `group` acting on the vertices by left translation.
 
-    Row v of the table, read as a permutation, is the automorphism sending
-    0 to v; the connection set is the out-neighbourhood of vertex 0.
+    The connection set is the out-neighbourhood of vertex 0.
     """
     n = graph.order
     row = graph.rows[0]
     connection = ConnectionSet(n, (v for v in range(n) if (row >> v) & 1))
-    vertex_map = tuple(Permutation(images) for images in group.table.tolist())
+    vertex_map = tuple(left_translation(group, v) for v in range(n))
     return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
 
 
@@ -190,9 +180,9 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
        NotRegularDegree;
     2. complete/edgeless graphs accept immediately with a cyclic-group
        witness;
-    3. vertex-transitivity over the full automorphism list, else
-       NotVertexTransitive;
-    4. regular-subgroup search, else NoRegularSubgroup.
+    3. `automorphisms`, whose images of vertex 0 must cover every
+       vertex, else NotVertexTransitive;
+    4. `find_regular_subgroup` on that list, else NoRegularSubgroup.
 
     Only steps 3-4 are subject to `bound`; graphs of any order can still
     be decided by the cheap paths.
@@ -202,10 +192,10 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if _uniform(graph):
         return _witness(graph, cyclic(graph.order))
     n = graph.order
-    images = _bounded_search(graph, bound)
-    if len({p[0] for p in images}) != n:
+    auts = automorphisms(graph, bound)
+    if len({p.images[0] for p in auts}) != n:
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    members = _checked_regular_subgroup(n, images)
+    members = find_regular_subgroup(auts, n)
     if members is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     # sigma_g . sigma_h = sigma_{g*h} turns the image arrays into the table
@@ -221,7 +211,6 @@ def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
     with the same (out-degree, in-degree) pair, and each tentative image
     is checked incrementally against all previously assigned vertices.
     """
-    rows = [int(r) for r in rows]
     cols = [0] * n
     for u in range(n):
         r = rows[u]
@@ -265,7 +254,6 @@ def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
             if ok:
                 img[k] = v
                 extend(k + 1, used | low)
-        return
 
     extend(0, 0)
     return found
@@ -286,7 +274,6 @@ def _search_regular_subgroup(
     product either matches an existing choice or pins down a new vertex.
     Returns the members ordered by their image of 0, or None.
     """
-    perms = [tuple(p) for p in perms]
     identity = tuple(range(n))
     if identity not in perms:
         return None

@@ -1,0 +1,34 @@
+"""Permutation validation at the package boundary and derived permutations."""
+
+from __future__ import annotations
+
+import pytest
+
+from groupgraphs.perms import Permutation
+
+
+@pytest.mark.parametrize("images", [(0, 0), (1, 2)])
+def test_outside_images_that_are_not_a_permutation_raise(images) -> None:
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+def test_derived_permutations_equal_checked_ones() -> None:
+    p = Permutation((2, 0, 3, 1))
+    q = Permutation((1, 3, 0, 2))
+    product = p * q
+    assert product == Permutation(p(q(v)) for v in range(4))
+    assert hash(product) == hash(Permutation(product.images))
+    inverse = p.inverse()
+    assert inverse == Permutation((1, 3, 0, 2))
+    assert (p * inverse).is_identity()
+    assert Permutation.identity(4) == Permutation(range(4))
+    assert Permutation.identity(0) == Permutation(())
+    for derived in (product, inverse, Permutation.identity(4)):
+        assert type(derived.images) is tuple
+        assert all(type(x) is int for x in derived.images)
+
+
+def test_composition_still_checks_degrees() -> None:
+    with pytest.raises(ValueError):
+        Permutation((1, 0)) * Permutation((0, 2, 1))

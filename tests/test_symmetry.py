@@ -5,9 +5,12 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import groupgraphs
 from groupgraphs import cayley, groups, powergraph, symmetry
+from groupgraphs.catalog import catalog
 from groupgraphs.cayley import ConnectionSet
 from groupgraphs.errors import SearchBoundExceeded
 from groupgraphs.graphs import Digraph, SimpleGraph
@@ -181,6 +184,28 @@ def test_find_regular_subgroup_requires_identity() -> None:
     assert symmetry.find_regular_subgroup([shift], 4) is None
 
 
+def test_find_regular_subgroup_rejects_a_list_that_is_not_closed() -> None:
+    auts = symmetry.automorphisms(cycle_graph(4))
+    assert len(auts) == 8
+    # both regular subgroups of C4's automorphism group contain the half-turn,
+    # and the kernel's closure step rebuilds it from the list without it
+    partial = [p for p in auts if p.images != (2, 3, 0, 1)]
+    with pytest.raises(ValueError, match="outside the input list"):
+        symmetry.find_regular_subgroup(partial, 4)
+
+
+def test_check_regular_rejects_each_defect() -> None:
+    rotations = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    with pytest.raises(ValueError, match="wrong size"):
+        symmetry._check_regular(rotations[:2], set(rotations), 3)
+    with pytest.raises(ValueError, match="misses a vertex"):
+        symmetry._check_regular(rotations[::-1], set(rotations), 3)
+    not_closed = [(0, 1, 2), (1, 2, 0), (2, 1, 0)]
+    with pytest.raises(ValueError, match="not closed"):
+        symmetry._check_regular(not_closed, set(not_closed), 3)
+    symmetry._check_regular(rotations, set(rotations), 3)
+
+
 def test_complete_graph_fast_path_avoids_enumeration() -> None:
     # K_13 has 13! automorphisms; only the fast path makes this feasible.
     witness = symmetry.is_cayley(SimpleGraph.complete(13))
@@ -256,3 +281,93 @@ def test_cayley_graphs_of_catalog_groups_are_recognized(full_catalog) -> None:
         witness = symmetry.is_cayley(graph)
         assert witness, entry.name
         assert witness.reconstruct() == graph
+
+
+# -- relabelling invariance ---------------------------------------------------
+
+SMALL_GROUPS = [entry.group for entry in catalog(8)]
+
+
+def relabel(graph, sigma):
+    """The same graph with vertex v renamed sigma[v]."""
+    n = graph.order
+    matrix = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            matrix[sigma[u]][sigma[v]] = (graph.rows[u] >> v) & 1
+    return type(graph).from_matrix(matrix)
+
+
+@st.composite
+def cayley_graphs(draw, max_order=8, directed=None):
+    group = draw(st.sampled_from([g for g in SMALL_GROUPS if g.order <= max_order]))
+    chosen = draw(st.lists(st.booleans(), min_size=group.order, max_size=group.order))
+    members = {g for g, keep in enumerate(chosen) if keep} - {group.identity}
+    if directed is None:
+        directed = draw(st.booleans())
+    if directed:
+        return cayley.directed_cayley(group, ConnectionSet(group.order, members))
+    members |= {group.inverse(m) for m in members}
+    return cayley.undirected_cayley(group, ConnectionSet(group.order, members))
+
+
+@st.composite
+def disjoint_unions(draw):
+    """Two Cayley graphs side by side: regular, and often not vertex-transitive."""
+    directed = draw(st.booleans())
+    parts = [draw(cayley_graphs(4, directed)), draw(cayley_graphs(4, directed))]
+    n = sum(part.order for part in parts)
+    matrix = [[0] * n for _ in range(n)]
+    offset = 0
+    for part in parts:
+        for u in range(part.order):
+            for v in range(part.order):
+                matrix[offset + u][offset + v] = (part.rows[u] >> v) & 1
+        offset += part.order
+    return type(parts[0]).from_matrix(matrix)
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 8))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [pair for pair, keep in zip(pairs, chosen) if keep]
+    return Digraph.from_arcs(n, arcs) if directed else SimpleGraph.from_edges(n, arcs)
+
+
+def assert_relabelling_invariant(graph, sigma) -> None:
+    image = relabel(graph, sigma)
+    verdict, image_verdict = symmetry.is_cayley(graph), symmetry.is_cayley(image)
+    assert bool(verdict) == bool(image_verdict)
+    if verdict:
+        assert verdict.reconstruct() == graph
+        assert image_verdict.reconstruct() == image
+    else:
+        assert verdict.reason is image_verdict.reason
+    assert symmetry.is_vertex_transitive(graph) == symmetry.is_vertex_transitive(image)
+    if graph.is_complete() or not any(graph.rows):
+        # every relabelling fixes these, and their n! automorphisms are slow to list
+        assert image == graph
+    else:
+        assert len(symmetry.automorphisms(graph)) == len(symmetry.automorphisms(image))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.one_of(cayley_graphs(), disjoint_unions(), random_graphs()).flatmap(
+    lambda g: st.tuples(st.just(g), st.permutations(range(g.order)))))
+def test_relabelling_never_changes_a_verdict(case) -> None:
+    graph, sigma = case
+    assert_relabelling_invariant(graph, sigma)
+
+
+@pytest.mark.parametrize("sigma", [
+    (9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+    (5, 6, 7, 8, 9, 0, 1, 2, 3, 4),
+    (3, 7, 0, 9, 1, 5, 8, 2, 6, 4),
+])
+def test_petersen_relabelled_has_no_regular_subgroup(sigma) -> None:
+    pet = petersen_graph()
+    assert symmetry.is_cayley(relabel(pet, sigma)).reason is NotCayleyReason.NO_REGULAR_SUBGROUP
+    assert_relabelling_invariant(pet, sigma)

@@ -11,7 +11,7 @@ from groupgraphs.catalog import catalog, catalog_entry
 
 
 def test_all_rows_consistent() -> None:
-    rows = verify.verify_theorem(strict=True)
+    rows = verify.verify_theorem()
     assert len(rows) == 28
     assert all(row.consistent for row in rows)
 
@@ -105,7 +105,7 @@ def test_no_decision_reaches_the_search(monkeypatch) -> None:
     def no_search(*args, **kwargs):
         raise AssertionError("verify reached the automorphism search")
 
-    monkeypatch.setattr(symmetry, "_bounded_search", no_search)
+    monkeypatch.setattr(symmetry, "_search_automorphisms", no_search)
     rows = verify.verify_theorem()
     assert len(rows) == 28
     assert all(row.consistent for row in rows)
