@@ -15,7 +15,7 @@ large-order writers run on numpy.
 
 from __future__ import annotations
 
-from .catalog import CatalogEntry, catalog, catalog_entry
+from .catalog import catalog, catalog_entry
 from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
 from .errors import (
     ElementOutOfRange,
@@ -70,7 +70,6 @@ from .verify import VerificationRow, format_jsonl, format_table, verify_group, v
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalogEntry",
     "CayleyWitness",
     "ConnectionSet",
     "Digraph",

@@ -5,25 +5,14 @@ and 13-15 contain only cyclic groups, direct products of cyclic groups,
 and dihedral groups; order 8 adds the quaternion group and order 12 adds
 the alternating group ``A4`` and the dicyclic group ``Dic3``.
 
-The catalog is deterministic: entries are sorted by order, and within an
-order they appear in a fixed conventional sequence (cyclic first, then
-abelian products, then the non-abelian groups).
+The catalog is a list of specs read by ``groups.parse_group_spec``, sorted
+by order, and within an order in a fixed conventional sequence (cyclic
+first, then abelian products, then the non-abelian groups).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import (
-    FiniteGroup,
-    alternating,
-    cyclic,
-    dicyclic,
-    dihedral,
-    direct_product,
-    quaternion,
-    symmetric,
-)
+from .groups import FiniteGroup, parse_group_spec
 
 #: Number of groups of each order 1..15, up to isomorphism.
 GROUP_COUNTS: dict[int, int] = {
@@ -33,70 +22,33 @@ GROUP_COUNTS: dict[int, int] = {
 
 MAX_CATALOG_ORDER = 15
 
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A named group from the built-in catalog."""
-
-    name: str
-    order: int
-    group: FiniteGroup
-
-    def __post_init__(self) -> None:
-        if self.group.order != self.order:
-            raise ValueError(
-                f"catalog entry {self.name!r} declares order {self.order} "
-                f"but its table has order {self.group.order}"
-            )
+#: The catalog's groups as specs, in catalog order.
+CATALOG_SPECS: tuple[str, ...] = (
+    "Z1", "Z2", "Z3", "Z4", "Z2xZ2",
+    "Z5", "Z6", "S3", "Z7", "Z8",
+    "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8", "Z9",
+    "Z3xZ3", "Z10", "D5", "Z11", "Z12",
+    "Z2xZ6", "D6", "A4", "Dic3", "Z13",
+    "Z14", "D7", "Z15",
+)
 
 
-def catalog(max_order: int = MAX_CATALOG_ORDER) -> list[CatalogEntry]:
+def catalog(max_order: int = MAX_CATALOG_ORDER) -> list[FiniteGroup]:
     """Return all groups of order <= ``max_order`` (up to isomorphism).
 
-    ``max_order`` must lie in ``1..15``.  Each entry is named by the name
-    its constructor gave the group, e.g. ``Z2xZ4`` or ``Dic3``.
+    ``max_order`` must lie in ``1..15``.  Each group is built from its spec
+    and named by its constructors, e.g. ``Z2xZ4`` or ``Dic3``.
     """
     if not 1 <= max_order <= MAX_CATALOG_ORDER:
         raise ValueError(
             f"max_order must be between 1 and {MAX_CATALOG_ORDER}, got {max_order}"
         )
-    groups = [
-        cyclic(1),
-        cyclic(2),
-        cyclic(3),
-        cyclic(4),
-        direct_product(cyclic(2), cyclic(2)),
-        cyclic(5),
-        cyclic(6),
-        symmetric(3),
-        cyclic(7),
-        cyclic(8),
-        direct_product(cyclic(2), cyclic(4)),
-        direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))),
-        dihedral(4),
-        quaternion(),
-        cyclic(9),
-        direct_product(cyclic(3), cyclic(3)),
-        cyclic(10),
-        dihedral(5),
-        cyclic(11),
-        cyclic(12),
-        direct_product(cyclic(2), cyclic(6)),
-        dihedral(6),
-        alternating(4),
-        dicyclic(3),
-        cyclic(13),
-        cyclic(14),
-        dihedral(7),
-        cyclic(15),
-    ]
-    return [CatalogEntry(name=g.name, order=g.order, group=g)
-            for g in groups if g.order <= max_order]
+    return [g for g in map(parse_group_spec, CATALOG_SPECS) if g.order <= max_order]
 
 
-def catalog_entry(name: str) -> CatalogEntry:
-    """Look up a catalog entry by its exact name."""
-    for entry in catalog():
-        if entry.name == name:
-            return entry
+def catalog_entry(name: str) -> FiniteGroup:
+    """The catalog group with exactly this name."""
+    for group in catalog():
+        if group.name == name:
+            return group
     raise KeyError(f"no catalog group named {name!r}")

@@ -8,11 +8,10 @@ Subcommands:
 * ``is-cayley`` decide Cayley-representability, optionally emitting witnesses
 * ``verify``    run the theorem verification over the built-in catalog
 
-Groups are named by a small grammar: ``Zn`` (cyclic), ``Dn`` (dihedral,
-order 2n), ``Sn`` (symmetric), ``An`` (alternating), ``Q8``, ``Dicn``
-(dicyclic, order 4n), and products such as ``Z2xZ6``.  Graph input files
-are newline-delimited graph6/digraph6; directed encodings are recognised
-by the ``&`` prefix or the ``>>digraph6<<`` header.
+``--group`` takes a spec such as ``Z2xZ6``; ``groups.parse_group_spec``
+holds the grammar.  Graph input files are newline-delimited
+graph6/digraph6; directed encodings are recognised by the ``&`` prefix or
+the ``>>digraph6<<`` header.
 
 Exit status: 0 when every requested check is consistent, 1 when a
 verification or decision reports an inconsistency, 2 on usage or data
@@ -23,72 +22,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import re
 import sys
-from typing import Callable
 
-from . import graphs, groups, powergraph, symmetry
+from . import graphs, powergraph, symmetry
 from . import cayley as cayley_mod
 from . import verify as verify_mod
 from .errors import GroupGraphsError
 from .graphs import Digraph, SimpleGraph
-from .groups import FiniteGroup
-
-#: Largest group the CLI will construct from a ``--group`` spec.
-MAX_CLI_GROUP_ORDER = 4096
-
-_ATOM_RE = re.compile(r"(Dic|Z|D|S|A)([0-9]+)")
-
-
-def _parse_atom(token: str) -> tuple[int, Callable[[], FiniteGroup]]:
-    """One factor's order and its constructor, checked but not yet called."""
-    if token == "Q8":
-        return 8, groups.quaternion
-    match = _ATOM_RE.fullmatch(token)
-    if match is None:
-        raise ValueError(
-            f"bad group spec {token!r}: expected Zn, Dn, Sn, An, Q8, or Dicn"
-        )
-    kind, num = match.group(1), int(match.group(2))
-    if kind in ("S", "A"):
-        # k! grows with k and 8!/2 is already over the limit, so cap k first
-        order = math.factorial(min(num, 8)) // (2 if kind == "A" else 1)
-    else:
-        order = {"Z": 1, "D": 2, "Dic": 4}[kind] * num
-    if order > MAX_CLI_GROUP_ORDER:
-        raise ValueError(
-            f"group spec {token!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
-        )
-    build = {"Z": groups.cyclic, "D": groups.dihedral, "S": groups.symmetric,
-             "A": groups.alternating, "Dic": groups.dicyclic}[kind]
-    return order, lambda: build(num)
-
-
-def parse_group_spec(spec: str) -> FiniteGroup:
-    """Build a group from a spec like ``Z6``, ``D4``, or ``Z2xZ2xZ3``.
-
-    Products fold left, so ``AxBxC`` means ``(AxB)xC``.  The group is named
-    by its constructors, so the name is the spec's canonical spelling
-    (``Z06`` gives ``Z6``).  Every order is checked against the CLI limit
-    before any group is built.
-    """
-    parts = spec.split("x")
-    if any(part == "" for part in parts):
-        raise ValueError(f"bad group spec {spec!r}: empty factor")
-    order, builders = 1, []
-    for part in parts:
-        factor, build = _parse_atom(part)
-        order *= factor
-        if order > MAX_CLI_GROUP_ORDER:
-            raise ValueError(
-                f"group spec {spec!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
-            )
-        builders.append(build)
-    group = builders[0]()
-    for build in builders[1:]:
-        group = groups.direct_product(group, build())
-    return group
+from .groups import FiniteGroup, parse_group_spec
 
 
 def _parse_connection_members(text: str | None) -> tuple[int, ...] | None:

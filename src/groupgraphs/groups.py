@@ -4,12 +4,17 @@ Every group lives in one uniform representation: a dense n x n table with
 ``table[g][h]`` the index of the product g*h.  Named presentations
 (permutations, rotation/reflection words, ...) exist only inside the
 constructors and as display labels.
+
+Groups are named by specs such as ``Z2xZ2xZ3``, read by :func:`parse_group_spec`
+for both the CLI's ``--group`` and the built-in catalog.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from itertools import permutations as _iter_permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -372,3 +377,64 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     names = [f"({g.element_names[i]},{h.element_names[j]})"
              for i in range(g.order) for j in range(nh)]
     return FiniteGroup(table, name=f"{gname}x{hname}", element_names=names)
+
+
+# -- group specs --------------------------------------------------------------
+
+#: Largest group a spec may name.
+MAX_CLI_GROUP_ORDER = 4096
+
+_ATOM_RE = re.compile(r"(Dic|Z|D|S|A)([0-9]+)")
+
+
+def _parse_atom(token: str) -> tuple[int, Callable[[], FiniteGroup]]:
+    """One factor's order and its constructor, checked but not yet called."""
+    if token == "Q8":
+        return 8, quaternion
+    match = _ATOM_RE.fullmatch(token)
+    if match is None:
+        raise ValueError(
+            f"bad group spec {token!r}: expected Zn, Dn, Sn, An, Q8, or Dicn"
+        )
+    kind, num = match.group(1), int(match.group(2))
+    if kind in ("S", "A"):
+        # k! grows with k and 8!/2 is already over the limit, so cap k first
+        order = math.factorial(min(num, 8)) // (2 if kind == "A" else 1)
+    else:
+        order = {"Z": 1, "D": 2, "Dic": 4}[kind] * num
+    if order > MAX_CLI_GROUP_ORDER:
+        raise ValueError(
+            f"group spec {token!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
+        )
+    # looked up per call, so a constructor replaced on this module is used
+    build = {"Z": cyclic, "D": dihedral, "S": symmetric,
+             "A": alternating, "Dic": dicyclic}[kind]
+    return order, lambda: build(num)
+
+
+def parse_group_spec(spec: str) -> FiniteGroup:
+    """Build a group from a spec like ``Z6``, ``D4``, or ``Z2xZ2xZ3``.
+
+    Atoms are ``Zn`` (cyclic), ``Dn`` (dihedral, order 2n), ``Sn``
+    (symmetric), ``An`` (alternating), ``Q8`` and ``Dicn`` (dicyclic, order
+    4n); ``x`` joins factors.  Products fold left, so ``AxBxC`` means
+    ``(AxB)xC``.  The group is named by its constructors, so the name is the
+    spec's canonical spelling (``Z06`` gives ``Z6``).  Every order is
+    checked against ``MAX_CLI_GROUP_ORDER`` before any group is built.
+    """
+    parts = spec.split("x")
+    if any(part == "" for part in parts):
+        raise ValueError(f"bad group spec {spec!r}: empty factor")
+    order, builders = 1, []
+    for part in parts:
+        factor, build = _parse_atom(part)
+        order *= factor
+        if order > MAX_CLI_GROUP_ORDER:
+            raise ValueError(
+                f"group spec {spec!r} exceeds the CLI order limit of {MAX_CLI_GROUP_ORDER}"
+            )
+        builders.append(build)
+    group = builders[0]()
+    for build in builders[1:]:
+        group = direct_product(group, build())
+    return group

@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .catalog import MAX_CATALOG_ORDER, CatalogEntry, catalog
-from .powergraph import directed_power_graph, undirected_power_graph
+from .catalog import MAX_CATALOG_ORDER, catalog
+from .groups import FiniteGroup
+from .powergraph import directed_power_graph
 from .symmetry import is_cayley, is_vertex_transitive
 
 
@@ -51,29 +52,28 @@ def _row_consistent(
     return undirected_ok and directed_ok
 
 
-def verify_group(entry: CatalogEntry) -> VerificationRow:
-    """Compute the verification row for a single catalog entry.
+def verify_group(group: FiniteGroup) -> VerificationRow:
+    """Compute the verification row for one group, named by ``group.name``.
 
     The identity is joined to every element, so the degree filter or the
     complete fast path settles every decision here without a search.
     """
-    group = entry.group
-    pg = undirected_power_graph(group)
     dpg = directed_power_graph(group)
+    pg = dpg.underlying_undirected()
     cyclic_p = group.is_cyclic_p_group()
     pg_complete = pg.is_complete()
     pg_vt = is_vertex_transitive(pg)
     pg_cay = bool(is_cayley(pg))
     dpg_cay = bool(is_cayley(dpg))
     return VerificationRow(
-        name=entry.name,
-        order=entry.order,
+        name=group.name,
+        order=group.order,
         cyclic_p_group=cyclic_p,
         pg_complete=pg_complete,
         pg_vertex_transitive=pg_vt,
         pg_cayley=pg_cay,
         dpg_cayley=dpg_cay,
-        consistent=_row_consistent(entry.order, cyclic_p, pg_complete, pg_cay, dpg_cay),
+        consistent=_row_consistent(group.order, cyclic_p, pg_complete, pg_cay, dpg_cay),
     )
 
 
@@ -83,7 +83,7 @@ def verify_theorem(max_order: int = MAX_CATALOG_ORDER) -> list[VerificationRow]:
     One row per group, in catalog order; ``consistent`` is false on a row
     that contradicts the theorem, and the CLI then exits with status 1.
     """
-    return [verify_group(entry) for entry in catalog(max_order)]
+    return [verify_group(group) for group in catalog(max_order)]
 
 
 _COLUMNS = (

@@ -14,7 +14,7 @@ from itertools import permutations
 
 import pytest
 
-from groupgraphs.catalog import CatalogEntry, catalog
+from groupgraphs.catalog import catalog
 from groupgraphs.graphs import Digraph, SimpleGraph
 from groupgraphs.groups import FiniteGroup
 
@@ -157,5 +157,5 @@ def sampled_connection_sets(group: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 @pytest.fixture(scope="session")
-def full_catalog() -> list[CatalogEntry]:
+def full_catalog() -> list[FiniteGroup]:
     return catalog()

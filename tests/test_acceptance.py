@@ -62,8 +62,7 @@ def _run(capsys, label: str, body) -> None:
 def _corpus_small() -> list[SimpleGraph | Digraph]:
     """All power graphs and sampled Cayley graphs on at most 7 vertices."""
     out: list[SimpleGraph | Digraph] = []
-    for entry in catalog(7):
-        group = entry.group
+    for group in catalog(7):
         out.append(powergraph.directed_power_graph(group))
         out.append(powergraph.undirected_power_graph(group))
         for members in sampled_connection_sets(group):
@@ -76,9 +75,9 @@ def _corpus_small() -> list[SimpleGraph | Digraph]:
 def _corpus_full() -> list[SimpleGraph | Digraph]:
     """The small corpus plus both power graphs of every catalog group."""
     out = _corpus_small()
-    for entry in catalog():
-        out.append(powergraph.directed_power_graph(entry.group))
-        out.append(powergraph.undirected_power_graph(entry.group))
+    for group in catalog():
+        out.append(powergraph.directed_power_graph(group))
+        out.append(powergraph.undirected_power_graph(group))
     return out
 
 
@@ -86,51 +85,48 @@ def test_a1_completeness_criterion(capsys) -> None:
     def body() -> None:
         entries = catalog()
         assert len(entries) == 28
-        for entry in entries:
-            pg = powergraph.undirected_power_graph(entry.group)
-            assert pg.is_complete() == entry.group.is_cyclic_p_group(), entry.name
+        for group in entries:
+            pg = powergraph.undirected_power_graph(group)
+            assert pg.is_complete() == group.is_cyclic_p_group(), group.name
 
     _run(capsys, "A1", body)
 
 
 def test_a2_undirected_power_graph_cayley_iff_cyclic_p_group(capsys) -> None:
     def body() -> None:
-        for entry in catalog():
-            group = entry.group
+        for group in catalog():
             pg = powergraph.undirected_power_graph(group)
             expected = group.is_cyclic_p_group()
             verdict = symmetry.is_cayley(pg)
-            assert bool(verdict) == expected, entry.name
-            if entry.order > 12 and not expected:
+            assert bool(verdict) == expected, group.name
+            if group.order > 12 and not expected:
                 # Orders 13..15 exceed the search bound, so the fast
                 # degree reject must have decided these by itself.
-                assert verdict.reason is NotCayleyReason.NOT_REGULAR_DEGREE, entry.name
+                assert verdict.reason is NotCayleyReason.NOT_REGULAR_DEGREE, group.name
 
     _run(capsys, "A2", body)
 
 
 def test_a3_directed_power_graph_never_cayley(capsys) -> None:
     def body() -> None:
-        for entry in catalog():
-            if entry.order < 2:
+        for group in catalog():
+            if group.order < 2:
                 continue
-            group = entry.group
             dpg = powergraph.directed_power_graph(group)
             e = group.identity
-            assert dpg.out_degree(e) == 0, entry.name
-            assert dpg.in_degree(e) == entry.order - 1, entry.name
-            assert not dpg.has_constant_in_out_degrees(), entry.name
+            assert dpg.out_degree(e) == 0, group.name
+            assert dpg.in_degree(e) == group.order - 1, group.name
+            assert not dpg.has_constant_in_out_degrees(), group.name
             verdict = symmetry.is_cayley(dpg)
-            assert not verdict, entry.name
-            assert verdict.reason is NotCayleyReason.NOT_REGULAR_DEGREE, entry.name
+            assert not verdict, group.name
+            assert verdict.reason is NotCayleyReason.NOT_REGULAR_DEGREE, group.name
 
     _run(capsys, "A3", body)
 
 
 def test_a4_left_translations_act_regularly(capsys) -> None:
     def body() -> None:
-        for entry in catalog():
-            group = entry.group
+        for group in catalog():
             n = group.order
             translations = [cayley.left_translation(group, a) for a in range(n)]
             for members in sampled_connection_sets(group):
@@ -140,12 +136,12 @@ def test_a4_left_translations_act_regularly(capsys) -> None:
                         for h in range(n):
                             assert graph.has_arc(g, h) == graph.has_arc(
                                 sigma(g), sigma(h)
-                            ), (entry.name, members)
-            assert {sigma(0) for sigma in translations} == set(range(n)), entry.name
+                            ), (group.name, members)
+            assert {sigma(0) for sigma in translations} == set(range(n)), group.name
             for a, sigma in enumerate(translations):
                 if any(sigma(v) == v for v in range(n)):
-                    assert a == group.identity, entry.name
-            assert translations[group.identity].is_identity(), entry.name
+                    assert a == group.identity, group.name
+            assert translations[group.identity].is_identity(), group.name
 
     _run(capsys, "A4", body)
 
@@ -227,14 +223,14 @@ def test_a7_witness_round_trip(capsys) -> None:
             if verdict:
                 recognized += 1
                 assert verdict.reconstruct() == graph
-        for entry in catalog():
-            if not entry.group.is_cyclic_p_group():
+        for group in catalog():
+            if not group.is_cyclic_p_group():
                 continue
-            pg = powergraph.undirected_power_graph(entry.group)
+            pg = powergraph.undirected_power_graph(group)
             witness = symmetry.is_cayley(pg)
-            assert witness, entry.name
+            assert witness, group.name
             recognized += 1
-            assert witness.reconstruct() == pg, entry.name
+            assert witness.reconstruct() == pg, group.name
         assert recognized > 30
 
     _run(capsys, "A7", body)
@@ -257,20 +253,19 @@ def test_a9_catalog_groups_are_valid_and_distinct(capsys) -> None:
     def body() -> None:
         entries = catalog()
         assert len(entries) == 28
-        for entry in entries:
-            check_group_axioms([list(row) for row in entry.group.table])
-        counts = Counter(entry.order for entry in entries)
+        for group in entries:
+            check_group_axioms([list(row) for row in group.table])
+        counts = Counter(group.order for group in entries)
         assert [counts[n] for n in range(1, 16)] == [
             1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1,
         ]
         invariants: dict[int, list] = {}
-        for entry in entries:
-            group = entry.group
+        for group in entries:
             key = (
                 group.is_abelian(),
                 tuple(sorted(group.element_order(g) for g in range(group.order))),
             )
-            invariants.setdefault(entry.order, []).append(key)
+            invariants.setdefault(group.order, []).append(key)
         for order, keys in invariants.items():
             assert len(set(keys)) == len(keys), order
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from groupgraphs.catalog import GROUP_COUNTS, catalog, catalog_entry
@@ -15,7 +17,7 @@ def test_catalog_has_28_entries(full_catalog) -> None:
 
 
 def test_per_order_counts(full_catalog) -> None:
-    counts = Counter(entry.order for entry in full_catalog)
+    counts = Counter(group.order for group in full_catalog)
     assert dict(counts) == GROUP_COUNTS
     assert [GROUP_COUNTS[n] for n in range(1, 16)] == [
         1, 1, 1, 2, 1, 2, 1, 5, 2, 2, 1, 5, 1, 2, 1,
@@ -23,34 +25,41 @@ def test_per_order_counts(full_catalog) -> None:
 
 
 def test_names_unique_and_orders_match(full_catalog) -> None:
-    names = [entry.name for entry in full_catalog]
+    names = [group.name for group in full_catalog]
     assert len(set(names)) == len(names)
-    for entry in full_catalog:
-        assert entry.group.order == entry.order
-        assert entry.group.name == entry.name
 
 
 def test_catalog_is_sorted_by_order(full_catalog) -> None:
-    orders = [entry.order for entry in full_catalog]
+    orders = [group.order for group in full_catalog]
     assert orders == sorted(orders)
 
 
 def test_all_entries_satisfy_group_axioms(full_catalog) -> None:
-    for entry in full_catalog:
-        check_group_axioms([list(row) for row in entry.group.table])
+    for group in full_catalog:
+        check_group_axioms([list(row) for row in group.table])
 
 
 def test_same_order_entries_are_pairwise_distinguished(full_catalog) -> None:
-    def invariant(entry):
-        group = entry.group
+    def invariant(group):
         orders = sorted(group.element_order(g) for g in range(group.order))
         return (group.is_abelian(), tuple(orders))
 
     by_order: dict[int, list] = {}
-    for entry in full_catalog:
-        by_order.setdefault(entry.order, []).append(invariant(entry))
+    for group in full_catalog:
+        by_order.setdefault(group.order, []).append(invariant(group))
     for order, invariants in by_order.items():
         assert len(set(invariants)) == len(invariants), order
+
+
+def test_catalog_names_orders_and_tables_are_pinned(full_catalog) -> None:
+    # sha256 over every group's name, order and int64 table bytes, in
+    # catalog order; recorded while the catalog still called constructors
+    digest = hashlib.sha256()
+    for group in full_catalog:
+        digest.update(f"{group.name} {group.order}\n".encode())
+        digest.update(np.asarray(group.table, dtype="<i8").tobytes())
+    assert digest.hexdigest() == (
+        "55f2575feed25fcfb4bccf89130e29f1c2fee11ed09f63a81919297e7919b70b")
 
 
 def test_max_order_filter() -> None:
@@ -69,18 +78,18 @@ def test_max_order_filter() -> None:
 
 
 def test_catalog_entry_lookup() -> None:
-    entry = catalog_entry("Q8")
-    assert entry.order == 8
-    assert not entry.group.is_abelian()
+    group = catalog_entry("Q8")
+    assert group.order == 8
+    assert not group.is_abelian()
     with pytest.raises(KeyError):
         catalog_entry("Z16")
 
 
 def test_expected_structural_properties() -> None:
-    assert catalog_entry("A4").group.is_p_group() is False
-    assert catalog_entry("Z8").group.is_cyclic_p_group()
-    assert catalog_entry("Z3xZ3").group.is_p_group()
-    assert not catalog_entry("Z3xZ3").group.is_cyclic()
-    assert not catalog_entry("D6").group.is_abelian()
-    assert catalog_entry("Z15").group.is_cyclic()
-    assert not catalog_entry("Z15").group.is_p_group()
+    assert catalog_entry("A4").is_p_group() is False
+    assert catalog_entry("Z8").is_cyclic_p_group()
+    assert catalog_entry("Z3xZ3").is_p_group()
+    assert not catalog_entry("Z3xZ3").is_cyclic()
+    assert not catalog_entry("D6").is_abelian()
+    assert catalog_entry("Z15").is_cyclic()
+    assert not catalog_entry("Z15").is_p_group()

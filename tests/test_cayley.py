@@ -30,6 +30,11 @@ def test_identity_rejected_at_construction() -> None:
         cayley.directed_cayley(group, ConnectionSet(5, (0, 1)))
 
 
+def test_connection_set_of_another_order_rejected() -> None:
+    with pytest.raises(ValueError):
+        cayley.directed_cayley(groups.cyclic(3), ConnectionSet(4, [1]))
+
+
 def test_inverse_closure_predicate() -> None:
     z6 = groups.cyclic(6)
     assert ConnectionSet(6, (1, 5)).is_inverse_closed(z6)
@@ -104,8 +109,7 @@ def test_undirected_requires_inverse_closed() -> None:
 
 
 def test_regularity_of_cayley_graphs(full_catalog) -> None:
-    for entry in full_catalog:
-        group = entry.group
+    for group in full_catalog:
         for members in sampled_connection_sets(group):
             conn = ConnectionSet(group.order, members)
             d = cayley.directed_cayley(group, conn)
@@ -149,8 +153,7 @@ def test_left_translation_preserves_s3_transposition_arcs() -> None:
 
 
 def test_left_translations_act_regularly(full_catalog) -> None:
-    for entry in full_catalog:
-        group = entry.group
+    for group in full_catalog:
         translations = [cayley.left_translation(group, a) for a in group.elements()]
         images_of_zero = {sigma(0) for sigma in translations}
         assert images_of_zero == set(range(group.order))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -202,6 +203,34 @@ def test_is_cayley_witness_file(capsys, tmp_path: Path) -> None:
         assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == digest, argv
 
 
+def test_bad_connection_set_is_one_error_line(capsys) -> None:
+    code = main(["cayley", "--group", "Z6", "--set", "1,x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_is_cayley_reads_standard_input(capsys, monkeypatch) -> None:
+    monkeypatch.setattr(sys, "stdin", io.StringIO("C~\nEse?\n"))  # K_4 and pg(S3)
+    code, out = run(capsys, "is-cayley", "--in", "-")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert "not" not in lines[0]
+    assert "not" in lines[1]
+
+
+def test_empty_input_file_is_reported(capsys, tmp_path: Path) -> None:
+    infile = tmp_path / "empty.g6"
+    infile.write_text("\n", encoding="ascii")
+    code = main(["aut", "--in", str(infile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "no graphs found" in captured.err
+
+
 def test_is_cayley_json_format(capsys) -> None:
     code, out = run(capsys, "is-cayley", "--group", "Z6", "--format", "json")
     assert code == 0
@@ -396,6 +425,11 @@ CLI_OUTPUT_DIGESTS = [
     ("is-cayley --group Z7 --set '' --format table", 0, "0ace19d60efd9827c90da132458f708d85d1cc06255d013b2eb542769ac46cd8"),
     ("aut --group Z6 --set 1,5 --format json", 0, "6f3430d078d031ed71702f514d3f4ae7cf0e071891fe38391600301470d6065f"),
     ("aut --group Z6 --set 1,5 --format table", 0, "2af49bea8d57f35f30fe9ee7a8536ea248d7598c6f45585a7a2b4f6e5d673f72"),
+    # the theorem table over the whole catalog, and the left-fold labels of a
+    # three-factor product, recorded before the catalog was spelled as specs
+    ("verify", 0, "beee4bd9b62fdbda7eb98da446ab933770250cd3c10df0a74be05811e936fc76"),
+    ("verify --format json", 0, "c7ca545a84c473097569bbfaf59c4494267c52e96d140dec328bb3b8bd198594"),
+    ("power --group Z2xZ2xZ2 --format dot", 0, "7b57d36567a2b67652ddd9b6b0c0f18ea392396b11c25e5b72a7171ff6ff23b5"),
 ]
 
 

@@ -132,6 +132,10 @@ def test_malformed_graph6_rejected() -> None:
         graphs.from_graph6("A\x19")  # byte below the printable range
     with pytest.raises(MalformedEncoding):
         graphs.from_graph6("A~")  # nonzero padding bits for n=2
+    with pytest.raises(MalformedEncoding, match="not positive"):
+        graphs.from_graph6("?")  # order 0
+    with pytest.raises(MalformedEncoding, match="digraph6"):
+        graphs.from_graph6("&A_")
 
 
 def test_malformed_digraph6_rejected() -> None:
@@ -139,11 +143,26 @@ def test_malformed_digraph6_rejected() -> None:
         graphs.from_digraph6("CAww")  # missing '&' prefix
     with pytest.raises(MalformedEncoding):
         graphs.from_digraph6("&CAw")  # truncated body
+    with pytest.raises(MalformedEncoding, match="empty after prefix"):
+        graphs.from_digraph6("&")
+    with pytest.raises(MalformedEncoding, match="self-loop at vertex 0"):
+        graphs.from_digraph6("&A_")
+
+
+def test_rows_constructor_rejects_bad_rows() -> None:
+    with pytest.raises(ValueError, match="order must be positive"):
+        SimpleGraph([])
+    with pytest.raises(ValueError, match="self-loop at vertex 0"):
+        SimpleGraph([1, 0])
+    with pytest.raises(VertexOutOfRange):
+        SimpleGraph([4, 0])  # bit 2 in a two-vertex graph
 
 
 def test_graph6_order_bound() -> None:
     with pytest.raises(UnsupportedOrder):
         graphs.to_graph6(SimpleGraph.edgeless(63))
+    with pytest.raises(UnsupportedOrder):
+        graphs.from_graph6("~")  # the long-form header of orders above 62
     big = SimpleGraph.edgeless(62)
     assert graphs.from_graph6(graphs.to_graph6(big)) == big
 
@@ -163,6 +182,8 @@ def test_to_dot_directed_and_undirected() -> None:
     ddot = graphs.to_dot(d)
     assert ddot.startswith("digraph {")
     assert "1 -> 0;" in ddot
+    with pytest.raises(ValueError, match="one label per vertex"):
+        graphs.to_dot(SimpleGraph.complete(3), ["a"])
 
 
 @pytest.mark.parametrize("graph", [

@@ -47,6 +47,23 @@ def test_from_table_rejects_missing_identity() -> None:
         groups.from_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
 
 
+def test_from_table_rejects_bad_shapes_and_columns() -> None:
+    with pytest.raises(InvalidOrder):
+        groups.from_table([[0, 1]])
+    with pytest.raises(InvalidOrder):
+        groups.FiniteGroup([[0]], element_names=["a", "b"])
+    # rows are permutations, column 1 repeats 2
+    with pytest.raises(NotInvertible) as info:
+        groups.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+    assert (info.value.axis, info.value.index) == ("column", 1)
+
+
+@pytest.mark.parametrize("text", ["", "2 0 x 1 0", "0", "2 0 1 1"])
+def test_from_table_text_rejects_malformed_text(text: str) -> None:
+    with pytest.raises(InvalidOrder):
+        groups.from_table_text(text)
+
+
 def test_from_table_s3_composition() -> None:
     perms = [tuple(p) for p in permutations(range(3))]
     index = {p: i for i, p in enumerate(perms)}
@@ -129,6 +146,8 @@ def test_power_examples() -> None:
     assert s3.power(b, 2) == a
     with pytest.raises(ElementOutOfRange):
         z6.power(6, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        z6.power(1, -1)
 
 
 def test_power_matches_iterated_multiplication() -> None:

@@ -26,8 +26,7 @@ def test_dpg_z4_arcs() -> None:
 
 
 def test_identity_degrees(full_catalog) -> None:
-    for entry in full_catalog:
-        group = entry.group
+    for group in full_catalog:
         n, e = group.order, group.identity
         dpg = powergraph.directed_power_graph(group)
         assert dpg.out_degree(e) == 0
@@ -59,41 +58,40 @@ def test_cyclic_generators_adjacent_to_all() -> None:
 
 
 def test_matches_definitional_oracle(full_catalog) -> None:
-    for entry in full_catalog:
-        group = entry.group
+    for group in full_catalog:
         dpg = powergraph.directed_power_graph(group)
         pg = powergraph.undirected_power_graph(group)
         for x in range(group.order):
             for y in range(group.order):
                 arc, adj = naive_power_adjacency(group, x, y)
-                assert dpg.has_arc(x, y) == arc, (entry.name, x, y)
-                assert pg.has_edge(x, y) == adj, (entry.name, x, y)
+                assert dpg.has_arc(x, y) == arc, (group.name, x, y)
+                assert pg.has_edge(x, y) == adj, (group.name, x, y)
 
 
 def test_undirected_is_underlying_of_directed(full_catalog) -> None:
-    for entry in full_catalog:
-        dpg = powergraph.directed_power_graph(entry.group)
-        pg = powergraph.undirected_power_graph(entry.group)
+    for group in full_catalog:
+        dpg = powergraph.directed_power_graph(group)
+        pg = powergraph.undirected_power_graph(group)
         assert dpg.underlying_undirected() == pg
 
 
 def test_arc_relation_transitive_within_cyclic_subgroup(full_catalog) -> None:
-    for entry in full_catalog:
-        dpg = powergraph.directed_power_graph(entry.group)
-        n = entry.order
+    for group in full_catalog:
+        dpg = powergraph.directed_power_graph(group)
+        n = group.order
         for x in range(n):
             for y in range(n):
                 if not dpg.has_arc(x, y):
                     continue
                 for z in range(n):
                     if dpg.has_arc(y, z) and z != x:
-                        assert dpg.has_arc(x, z), (entry.name, x, y, z)
+                        assert dpg.has_arc(x, z), (group.name, x, y, z)
 
 
 def test_monotone_consistency(full_catalog) -> None:
-    for entry in full_catalog:
-        dpg = powergraph.directed_power_graph(entry.group)
-        pg = powergraph.undirected_power_graph(entry.group)
-        for x in range(entry.order):
-            for y in range(entry.order):
+    for group in full_catalog:
+        dpg = powergraph.directed_power_graph(group)
+        pg = powergraph.undirected_power_graph(group)
+        for x in range(group.order):
+            for y in range(group.order):
                 assert pg.has_edge(x, y) == (dpg.has_arc(x, y) or dpg.has_arc(y, x))

@@ -263,10 +263,9 @@ def test_witness_json_dict_shape() -> None:
 
 
 def test_cayley_graphs_of_catalog_groups_are_recognized(full_catalog) -> None:
-    for entry in full_catalog:
-        if entry.order > 12:
+    for group in full_catalog:
+        if group.order > 12:
             continue
-        group = entry.group
         non_identity = [g for g in range(group.order) if g != group.identity]
         involutions = [g for g in non_identity if group.inverse(g) == g]
         members: tuple[int, ...]
@@ -279,13 +278,13 @@ def test_cayley_graphs_of_catalog_groups_are_recognized(full_catalog) -> None:
             members = ()
         graph = cayley.undirected_cayley(group, ConnectionSet(group.order, members))
         witness = symmetry.is_cayley(graph)
-        assert witness, entry.name
+        assert witness, group.name
         assert witness.reconstruct() == graph
 
 
 # -- relabelling invariance ---------------------------------------------------
 
-SMALL_GROUPS = [entry.group for entry in catalog(8)]
+SMALL_GROUPS = catalog(8)
 
 
 def relabel(graph, sigma):

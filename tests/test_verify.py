@@ -7,6 +7,7 @@ import json
 import pytest
 
 from groupgraphs import symmetry, verify
+from groupgraphs.groups import parse_group_spec
 from groupgraphs.catalog import catalog, catalog_entry
 
 
@@ -50,6 +51,15 @@ def test_z15_is_cyclic_but_not_p_group() -> None:
     assert not row.pg_complete
     assert not row.pg_cayley
     assert row.consistent
+
+
+def test_group_outside_the_catalog_gets_a_row() -> None:
+    for spec, cyclic_p in (("Z16", True), ("Z2xZ8", False), ("D8", False)):
+        row = verify.verify_group(parse_group_spec(spec))
+        assert (row.name, row.order) == (spec, 16)
+        assert row.cyclic_p_group == row.pg_complete == row.pg_cayley == cyclic_p
+        assert not row.dpg_cayley
+        assert row.consistent
 
 
 def test_max_order_restriction() -> None:
