@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from groupgraphs.catalog import GROUP_COUNTS, catalog, catalog_entry
@@ -57,7 +56,7 @@ def test_catalog_names_orders_and_tables_are_pinned(full_catalog) -> None:
     digest = hashlib.sha256()
     for group in full_catalog:
         digest.update(f"{group.name} {group.order}\n".encode())
-        digest.update(np.asarray(group.table, dtype="<i8").tobytes())
+        digest.update(group.table.astype("<i8").tobytes())
     assert digest.hexdigest() == (
         "55f2575feed25fcfb4bccf89130e29f1c2fee11ed09f63a81919297e7919b70b")
 
