@@ -10,6 +10,11 @@ public stages: `automorphisms` and `find_regular_subgroup` on that list.
 Both searches live here, in pure Python: automorphism enumeration over
 packed bit-rows of the arc relation, and regular-subgroup search over
 image tuples.  Their output order is lexicographic and deterministic.
+Each searches only for what its question needs.  The regular-subgroup
+search tries only semiregular candidates (no fixed vertex, one cycle
+length), because every non-identity member of a regular group is one.
+Vertex-transitivity looks for one automorphism 0 -> v per target v and
+never lists the group.
 """
 
 from __future__ import annotations
@@ -118,12 +123,17 @@ def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
 
     Non-constant degrees reject without any search (a vertex-transitive
     graph is regular); complete and edgeless graphs accept likewise.
+    Otherwise the automorphism search runs once per target v, with 0
+    pinned to v, and stops at the first automorphism it finds: the full
+    group is never listed.
     """
     if not _degrees_constant(graph):
         return False
     if _uniform(graph):
         return True
-    return len({p.images[0] for p in automorphisms(graph, bound)}) == graph.order
+    if graph.order > bound:
+        raise SearchBoundExceeded(graph.order, bound)
+    return all(_search_automorphisms(graph.order, graph.rows, v) for v in range(1, graph.order))
 
 
 def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] | None:
@@ -132,7 +142,10 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     Regular means: exactly one member sends 0 to each vertex, and the set
     is closed under composition.  Candidates are tried in lexicographic
     order of image arrays, so the result is deterministic; members are
-    returned ordered by their image of 0.
+    returned ordered by their image of 0.  Only semiregular candidates
+    are tried: every non-identity member of a regular group fixes no
+    vertex and has cycles of one length, so dropping the others never
+    changes the result.  The result is checked against the full list.
     """
     images = sorted(p.images for p in auts)
     members = _search_regular_subgroup(n, images)
@@ -204,12 +217,16 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
 
 # -- the search kernels -----------------------------------------------------
 
-def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
+def _search_automorphisms(
+    n: int, rows: Sequence[int], target: int | None = None
+) -> list[tuple[int, ...]]:
     """All permutations preserving the relation, in lexicographic order.
 
     Backtracks over a degree-partition: vertex u may map only to vertices
     with the same (out-degree, in-degree) pair, and each tentative image
     is checked incrementally against all previously assigned vertices.
+    With a `target`, vertex 0 may map only to it and the search stops at
+    the first leaf: the result is one automorphism 0 -> target, or none.
     """
     cols = [0] * n
     for u in range(n):
@@ -227,14 +244,17 @@ def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
             if keys[v] == keys[u]:
                 mask |= 1 << v
         cand[u] = mask
+    if target is not None:
+        cand[0] &= 1 << target
+    stop = target is not None
 
     img = [0] * n
     found: list[tuple[int, ...]] = []
 
-    def extend(k: int, used: int) -> None:
+    def extend(k: int, used: int) -> bool:
         if k == n:
             found.append(tuple(img))
-            return
+            return stop
         rk = rows[k]
         avail = cand[k] & ~used
         while avail:
@@ -253,7 +273,9 @@ def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
                     break
             if ok:
                 img[k] = v
-                extend(k + 1, used | low)
+                if extend(k + 1, used | low):
+                    return True
+        return False
 
     extend(0, 0)
     return found
@@ -261,6 +283,25 @@ def _search_automorphisms(n: int, rows: Sequence[int]) -> list[tuple[int, ...]]:
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[x] for x in q)
+
+
+def _semiregular(p: tuple[int, ...]) -> bool:
+    """True iff p fixes no vertex and all its cycles have one length."""
+    seen = [False] * len(p)
+    length = 0
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        k = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            k += 1
+        if k == 1 or (length and k != length):
+            return False
+        length = k
+    return True
 
 
 def _search_regular_subgroup(
@@ -283,6 +324,10 @@ def _search_regular_subgroup(
         cand[p[0]].append(p)
     if any(not c for c in cand):
         return None  # not even transitive
+    # every selection the search can complete is a regular group, whose
+    # non-identity members are semiregular: no other candidate can succeed
+    for v in range(1, n):
+        cand[v] = [p for p in cand[v] if _semiregular(p)]
 
     def close(sel: list[tuple[int, ...] | None], v: int,
               p: tuple[int, ...]) -> list[tuple[int, ...] | None] | None:

@@ -43,6 +43,64 @@ def brute_force_automorphisms(graph: SimpleGraph | Digraph) -> list[tuple[int, .
     return found
 
 
+def unfiltered_regular_subgroup(
+    n: int, perms: list[tuple[int, ...]]
+) -> list[tuple[int, ...]] | None:
+    """The regular-subgroup search with every candidate kept.
+
+    The library's kernel drops candidates that are not semiregular before
+    it backtracks; this copy tries them all, so on any input list the two
+    must return the same members.  Exponential on lists that are not
+    closed under composition: keep its inputs small.
+    """
+    identity = tuple(range(n))
+    if identity not in perms:
+        return None
+
+    cand: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for p in perms:
+        cand[p[0]].append(p)
+    if any(not c for c in cand):
+        return None
+
+    def close(sel, v, p):
+        sel = list(sel)
+        sel[v] = p
+        queue = [p]
+        head = 0
+        while head < len(queue):
+            q = queue[head]
+            head += 1
+            for r in sel:
+                if r is None:
+                    continue
+                for t in (tuple(q[x] for x in r), tuple(r[x] for x in q)):
+                    w = t[0]
+                    existing = sel[w]
+                    if existing is None:
+                        sel[w] = t
+                        queue.append(t)
+                    elif existing != t:
+                        return None
+        return sel
+
+    def extend(sel):
+        for v in range(n):
+            if sel[v] is None:
+                for p in cand[v]:
+                    nxt = close(sel, v, p)
+                    if nxt is not None:
+                        result = extend(nxt)
+                        if result is not None:
+                            return result
+                return None
+        return [p for p in sel if p is not None]
+
+    start: list[tuple[int, ...] | None] = [None] * n
+    start[0] = identity
+    return extend(start)
+
+
 def naive_power_adjacency(group: FiniteGroup, x: int, y: int) -> tuple[bool, bool]:
     """(x has arc to y, x adjacent to y) recomputed from the definition.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import groupgraphs
@@ -16,7 +16,7 @@ from groupgraphs.errors import SearchBoundExceeded
 from groupgraphs.graphs import Digraph, SimpleGraph
 from groupgraphs.perms import Permutation
 from groupgraphs.symmetry import NotCayleyReason
-from tests.conftest import brute_force_automorphisms, petersen_graph
+from tests.conftest import brute_force_automorphisms, petersen_graph, unfiltered_regular_subgroup
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -89,6 +89,12 @@ def test_automorphisms_bound() -> None:
     with pytest.raises(SearchBoundExceeded):
         symmetry.automorphisms(path)
     assert len(symmetry.automorphisms(path, bound=17)) == 2
+
+
+def test_vertex_transitivity_bound() -> None:
+    with pytest.raises(SearchBoundExceeded):
+        symmetry.is_vertex_transitive(cycle_graph(17))
+    assert symmetry.is_vertex_transitive(cycle_graph(17), bound=17)
 
 
 def test_vertex_transitive_examples() -> None:
@@ -206,6 +212,14 @@ def test_check_regular_rejects_each_defect() -> None:
     symmetry._check_regular(rotations, set(rotations), 3)
 
 
+def test_perfect_matching_in_natural_labelling_is_cayley() -> None:
+    # 46,080 automorphisms, of which 10,851 are semiregular candidates
+    matching = SimpleGraph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)])
+    witness = symmetry.is_cayley(matching)
+    assert witness
+    assert witness.reconstruct() == matching
+
+
 def test_complete_graph_fast_path_avoids_enumeration() -> None:
     # K_13 has 13! automorphisms; only the fast path makes this feasible.
     witness = symmetry.is_cayley(SimpleGraph.complete(13))
@@ -284,7 +298,7 @@ def test_cayley_graphs_of_catalog_groups_are_recognized(full_catalog) -> None:
 
 # -- relabelling invariance ---------------------------------------------------
 
-SMALL_GROUPS = catalog(8)
+SMALL_GROUPS = catalog(10)
 
 
 def relabel(graph, sigma):
@@ -345,12 +359,15 @@ def assert_relabelling_invariant(graph, sigma) -> None:
         assert image_verdict.reconstruct() == image
     else:
         assert verdict.reason is image_verdict.reason
-    assert symmetry.is_vertex_transitive(graph) == symmetry.is_vertex_transitive(image)
+    transitive = symmetry.is_vertex_transitive(graph)
+    assert transitive == symmetry.is_vertex_transitive(image)
     if graph.is_complete() or not any(graph.rows):
         # every relabelling fixes these, and their n! automorphisms are slow to list
         assert image == graph
     else:
-        assert len(symmetry.automorphisms(graph)) == len(symmetry.automorphisms(image))
+        auts = symmetry.automorphisms(graph)
+        assert len(auts) == len(symmetry.automorphisms(image))
+        assert transitive == (len({p.images[0] for p in auts}) == graph.order)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -370,3 +387,17 @@ def test_petersen_relabelled_has_no_regular_subgroup(sigma) -> None:
     pet = petersen_graph()
     assert symmetry.is_cayley(relabel(pet, sigma)).reason is NotCayleyReason.NO_REGULAR_SUBGROUP
     assert_relabelling_invariant(pet, sigma)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(cayley_graphs(10, directed=False), st.data())
+def test_semiregular_filter_never_changes_the_kernel_result(graph, data) -> None:
+    assume(not graph.is_complete() and any(graph.rows))
+    images = sorted(p.images for p in symmetry.automorphisms(graph))
+    # the unfiltered search is exponential on lists that are not closed
+    assume(len(images) <= 5000)
+    n = graph.order
+    assert symmetry._search_regular_subgroup(n, images) == unfiltered_regular_subgroup(n, images)
+    drop = data.draw(st.integers(0, len(images) - 1))
+    partial = images[:drop] + images[drop + 1:]
+    assert symmetry._search_regular_subgroup(n, partial) == unfiltered_regular_subgroup(n, partial)
