@@ -16,6 +16,7 @@ JSON and 0/1 table text at any order.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +63,10 @@ class _BitRows:
         full = (1 << order) - 1
         out = []
         for v, row in enumerate(rows):
-            row = int(row)
+            try:
+                row = operator.index(row)
+            except TypeError:
+                raise ValueError(f"row {v} is {row!r}, not an integer") from None
             if row & ~full:
                 raise VertexOutOfRange(f"row {v} has bits set outside [0, {order})")
             if (row >> v) & 1:

@@ -32,6 +32,18 @@ from .errors import (
 EAGER_ASSOCIATIVITY_BOUND = 128
 
 
+def _check_closed(t: np.ndarray) -> None:
+    """Raise NotClosed at the first entry that is not an integer in [0, n)."""
+    n = t.shape[0]
+    if t.dtype.kind not in "iu":
+        for (r, c), x in np.ndenumerate(t):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < n:
+                raise NotClosed(r, c, x)
+    elif t.min() < 0 or t.max() >= n:
+        r, c = np.argwhere((t < 0) | (t >= n))[0].tolist()
+        raise NotClosed(r, c, int(t[r, c]))
+
+
 class FiniteGroup:
     """A finite group of order n on element indices 0..n-1.
 
@@ -44,9 +56,13 @@ class FiniteGroup:
 
     def __init__(self, table, name: str | None = None,
                  element_names: Sequence[str] | None = None):
-        arr = np.array(table, dtype=np.int64)
+        arr = np.array(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidOrder(f"table must be square and non-empty, got shape {arr.shape}")
+        # any other table (floats, bools, strings, ints past 64 bits) is
+        # checked entry by entry as the caller wrote it
+        _check_closed(arr if arr.dtype.kind in "iu" else np.array(table, dtype=object))
+        arr = arr.astype(np.int64, copy=False)
         n = int(arr.shape[0])
         self.order = n
         self._table = arr
@@ -58,7 +74,6 @@ class FiniteGroup:
         else:
             self.element_names = tuple(str(i) for i in range(n))
 
-        self._check_closed()
         self.identity = self._find_identity()
         self._check_latin_square()
         self._inverses = self._compute_inverses()
@@ -68,12 +83,6 @@ class FiniteGroup:
         arr.setflags(write=False)
 
     # -- validation ---------------------------------------------------------
-
-    def _check_closed(self) -> None:
-        t = self._table
-        if t.min() < 0 or t.max() >= self.order:
-            r, c = np.argwhere((t < 0) | (t >= self.order))[0].tolist()
-            raise NotClosed(r, c, int(t[r, c]))
 
     def _find_identity(self) -> int:
         n = self.order
@@ -152,14 +161,8 @@ class FiniteGroup:
         return result
 
     def element_order(self, g: int) -> int:
-        """Smallest m >= 1 with g**m equal to the identity."""
-        g = self._check_element(g)
-        x = g
-        m = 1
-        while x != self.identity:
-            x = int(self._table[x, g])
-            m += 1
-        return m
+        """Smallest m >= 1 with g**m equal to the identity: the size of <g>."""
+        return len(self.cyclic_subgroup(g))
 
     def cyclic_subgroup(self, g: int) -> set[int]:
         """The set of positive powers of g (always contains the identity)."""

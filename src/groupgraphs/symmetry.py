@@ -27,7 +27,7 @@ import numpy as np
 
 from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
 from .errors import SearchBoundExceeded
-from .graphs import Digraph, SimpleGraph
+from .graphs import Digraph, SimpleGraph, _from_matrix, _to_matrix
 from .groups import FiniteGroup, cyclic
 from .perms import Permutation
 
@@ -223,27 +223,19 @@ def _search_automorphisms(
     """All permutations preserving the relation, in lexicographic order.
 
     Backtracks over a degree-partition: vertex u may map only to vertices
-    with the same (out-degree, in-degree) pair, and each tentative image
-    is checked incrementally against all previously assigned vertices.
+    with the same (out-degree, in-degree) pair.  At level k, `used` is the
+    image set of 0..k-1, so v is a valid image of k iff rows[v] & used and
+    cols[v] & used are the images of k's earlier out- and in-neighbours:
+    two whole-row comparisons per candidate.
     With a `target`, vertex 0 may map only to it and the search stops at
     the first leaf: the result is one automorphism 0 -> target, or none.
     """
-    cols = [0] * n
-    for u in range(n):
-        r = rows[u]
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << u
-            r &= r - 1
-
+    cols = _from_matrix(_to_matrix(rows).T)  # bit u of cols[v] joins u to v
     keys = [(rows[v].bit_count(), cols[v].bit_count()) for v in range(n)]
-    cand = [0] * n
-    for u in range(n):
-        mask = 0
-        for v in range(n):
-            if keys[v] == keys[u]:
-                mask |= 1 << v
-        cand[u] = mask
+    classes: dict[tuple[int, int], int] = {}
+    for v, key in enumerate(keys):
+        classes[key] = classes.get(key, 0) | 1 << v
+    cand = [classes[key] for key in keys]
     if target is not None:
         cand[0] &= 1 << target
     stop = target is not None
@@ -251,27 +243,27 @@ def _search_automorphisms(
     img = [0] * n
     found: list[tuple[int, ...]] = []
 
+    def image(mask: int) -> int:
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << img[low.bit_length() - 1]
+            mask ^= low
+        return out
+
     def extend(k: int, used: int) -> bool:
         if k == n:
             found.append(tuple(img))
             return stop
-        rk = rows[k]
+        earlier = (1 << k) - 1
+        out_image = image(rows[k] & earlier)
+        in_image = image(cols[k] & earlier)
         avail = cand[k] & ~used
         while avail:
             low = avail & -avail
             avail ^= low
             v = low.bit_length() - 1
-            rv = rows[v]
-            ok = True
-            for u in range(k):
-                iu = img[u]
-                if ((rk >> u) & 1) != ((rv >> iu) & 1):
-                    ok = False
-                    break
-                if ((rows[u] >> k) & 1) != ((rows[iu] >> v) & 1):
-                    ok = False
-                    break
-            if ok:
+            if rows[v] & used == out_image and cols[v] & used == in_image:
                 img[k] = v
                 if extend(k + 1, used | low):
                     return True

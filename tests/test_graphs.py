@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from groupgraphs import graphs, groups, powergraph
@@ -156,6 +157,11 @@ def test_rows_constructor_rejects_bad_rows() -> None:
         SimpleGraph([1, 0])
     with pytest.raises(VertexOutOfRange):
         SimpleGraph([4, 0])  # bit 2 in a two-vertex graph
+    with pytest.raises(ValueError, match="row 0 is 2.9, not an integer"):
+        SimpleGraph([2.9, 1.2])
+    with pytest.raises(ValueError, match="row 1"):
+        Digraph([0, "1"])
+    assert SimpleGraph([np.int64(2), np.uint8(1)]) == SimpleGraph.complete(2)
 
 
 def test_graph6_order_bound() -> None:

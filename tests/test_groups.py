@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from groupgraphs import groups
@@ -38,6 +39,24 @@ def test_from_table_rejects_out_of_range_entry() -> None:
     with pytest.raises(NotClosed) as info:
         groups.from_table([[0, 1], [1, 2]])
     assert info.value.entry == 2
+
+
+@pytest.mark.parametrize("table, cell", [
+    ([[0, 1.7], [1, 0]], (0, 1, 1.7)),
+    ([["0", "1"], ["1", "0"]], (0, 0, "0")),
+    ([[True, False], [False, True]], (0, 0, True)),
+    ([[0, 2**70], [1, 0]], (0, 1, 2**70)),
+])
+def test_from_table_rejects_entries_that_are_not_integers(table, cell) -> None:
+    with pytest.raises(NotClosed) as info:
+        groups.from_table(table)
+    assert (info.value.row, info.value.col, info.value.entry) == cell
+
+
+def test_from_table_accepts_numpy_integer_tables() -> None:
+    group = groups.from_table(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert group.table.dtype == np.int64
+    assert group.mul(1, 1) == 0
 
 
 def test_from_table_rejects_missing_identity() -> None:

@@ -341,13 +341,23 @@ def disjoint_unions(draw):
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(1, 8))
+def random_graphs(draw, max_order=8):
+    n = draw(st.integers(1, max_order))
     directed = draw(st.booleans())
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     arcs = [pair for pair, keep in zip(pairs, chosen) if keep]
     return Digraph.from_arcs(n, arcs) if directed else SimpleGraph.from_edges(n, arcs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(random_graphs(6))
+def test_automorphism_search_matches_brute_force(graph) -> None:
+    expected = brute_force_automorphisms(graph)
+    assert [p.images for p in symmetry.automorphisms(graph)] == expected
+    for v in range(graph.order):
+        first = [p for p in expected if p[0] == v][:1]
+        assert symmetry._search_automorphisms(graph.order, graph.rows, v) == first
 
 
 def assert_relabelling_invariant(graph, sigma) -> None:
