@@ -9,9 +9,10 @@ Subcommands:
 * ``verify``    run the theorem verification over the built-in catalog
 
 ``--group`` takes a spec such as ``Z2xZ6``; ``groups.parse_group_spec``
-holds the grammar.  Graph input files are newline-delimited
-graph6/digraph6; directed encodings are recognised by the ``&`` prefix or
-the ``>>digraph6<<`` header.
+holds the grammar.  ``power`` and ``cayley`` write the graph text as it is
+encoded, one chunk at a time, so a large graph's text is never held whole.
+Graph input files are newline-delimited graph6/digraph6; directed encodings
+are recognised by the ``&`` prefix or the ``>>digraph6<<`` header.
 
 Exit status: 0 when every requested check is consistent, 1 when a
 verification or decision reports an inconsistency, 2 on usage or data
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable, TextIO
 
 from . import graphs, powergraph, symmetry
 from . import cayley as cayley_mod
@@ -69,28 +71,37 @@ def _read_graphs(path: str) -> list[SimpleGraph | Digraph]:
 
 
 def _render_graph(graph: SimpleGraph | Digraph, fmt: str,
-                  labels: tuple[str, ...] | None = None) -> str:
+                  labels: tuple[str, ...] | None, path: str | None) -> None:
+    """Encode the graph in `fmt` and write it to `path`, one chunk at a time."""
     if fmt == "graph6":
-        if isinstance(graph, Digraph):
-            return graphs.to_digraph6(graph)
-        return graphs.to_graph6(graph)
-    if fmt == "dot":
-        return graphs.to_dot(graph, labels)
-    if fmt == "json":
-        return graphs.to_json(graph)
-    return graphs.to_table(graph)
+        encode = graphs.to_digraph6 if isinstance(graph, Digraph) else graphs.to_graph6
+        chunks: Iterable[str] = [encode(graph)]
+    elif fmt == "dot":
+        chunks = graphs.dot_chunks(graph, labels)
+    elif fmt == "json":
+        chunks = graphs.json_chunks(graph)
+    else:
+        chunks = graphs.table_chunks(graph)
+    _write_output(chunks, path)
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_chunks(chunks: Iterable[str], handle: TextIO) -> None:
+    last = ""
+    for chunk in chunks:
+        handle.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        handle.write("\n")
+
+
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks in order to `path` (stdout for None or "-"), then a
+    newline unless the text already ends with one."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        _write_chunks(chunks, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            _write_chunks(chunks, handle)
 
 
 def _group_graph(group: FiniteGroup, members: tuple[int, ...] | None,
@@ -117,6 +128,28 @@ def _input_graphs(args: argparse.Namespace,
     return [_group_graph(group, _parse_connection_members(args.set), args.directed)]
 
 
+def _indented_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, with each list of integers written by one join.
+
+    Covers what witnesses hold: dicts with string keys, lists, integers,
+    booleans and None.  `pad` is the newline and indent of the enclosing
+    level.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + ",".join(f"{inner}{json.dumps(key)}: {_indented_json(item, inner)}"
+                              for key, item in value.items()) + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:     # not bool, whose text differs
+            return "[" + inner + ("," + inner).join(map(str, value)) + pad + "]"
+        return "[" + ",".join(inner + _indented_json(item, inner) for item in value) + pad + "]"
+    return json.dumps(value)
+
+
 # -- subcommands ------------------------------------------------------------
 
 
@@ -124,7 +157,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     """``power`` and ``cayley``: one graph of the group, in the chosen format."""
     group = parse_group_spec(args.group)
     graph = _group_graph(group, _parse_connection_members(args.set), args.directed)
-    _write_output(_render_graph(graph, args.format, group.element_names), args.out)
+    _render_graph(graph, args.format, group.element_names, args.out)
     return 0
 
 
@@ -142,7 +175,7 @@ def _cmd_aut(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         else:
             out_lines.append(f"graph {index}: order {graph.order}, {len(perms)} automorphisms")
             out_lines.extend(" ".join(str(v) for v in p.images) for p in perms)
-    _write_output("\n".join(out_lines), args.out)
+    _write_output(["\n".join(out_lines)], args.out)
     return 0
 
 
@@ -168,10 +201,10 @@ def _cmd_is_cayley(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             }))
         else:
             out_lines.append(f"graph {index}: not cayley ({result.reason.value})")
-    _write_output("\n".join(out_lines), args.out)
+    _write_output(["\n".join(out_lines)], args.out)
     if args.witness is not None:
         with open(args.witness, "w", encoding="utf-8") as handle:
-            json.dump(witnesses, handle, indent=2)
+            handle.write(_indented_json(witnesses))
             handle.write("\n")
     return 0
 
@@ -182,7 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         text = verify_mod.format_jsonl(rows)
     else:
         text = verify_mod.format_table(rows)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0 if all(row.consistent for row in rows) else 1
 
 

@@ -11,13 +11,16 @@ goes through an n x n boolean matrix instead, built from the rows and
 packed back by the one pair of converters below, and constructors
 elsewhere hand in such a matrix.  Serialization covers the standard
 graph6/digraph6 formats for n <= 62, DOT output for human inspection, and
-JSON and 0/1 table text at any order.
+JSON and 0/1 table text at any order.  The DOT, JSON and table text comes
+in chunks, about one per matrix row (``dot_chunks``, ``json_chunks``,
+``table_chunks``), so a large graph can be written without holding its
+whole text; ``to_dot``, ``to_json`` and ``to_table`` join the same chunks.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -321,37 +324,52 @@ def from_digraph6(text: str) -> Digraph:
     return Digraph(rows)
 
 
-def _pair_text(graph: SimpleGraph | Digraph, head: str, tail: str, sep: str) -> list[str]:
+def _pair_text(graph: SimpleGraph | Digraph, head: str, tail: str, sep: str) -> Iterator[str]:
     """The arcs (edges u < v for graphs) as text, one string per source vertex u.
 
     Pair (u, v) is written head.format(u) + tail.format(v), and the pairs
-    of one u are joined by sep in ascending v.  Whole matrix rows are
-    formatted at once, so no tuple or string is made per pair.
+    of one u are joined by sep in ascending v; a vertex without pairs
+    yields nothing.  Whole matrix rows are formatted at once, so no tuple
+    or string is made per pair.
     """
     adj = graph._pair_matrix()
     tails = np.array([tail.format(v) for v in range(graph.order)], dtype=object)
-    out = []
     for u, row in enumerate(adj):
         picked = tails[row].tolist()
         if picked:
             start = head.format(u)
-            out.append(start + (sep + start).join(picked))
-    return out
+            yield start + (sep + start).join(picked)
+
+
+def dot_chunks(graph: SimpleGraph | Digraph,
+               labels: Sequence[str] | None = None) -> Iterator[str]:
+    """The text of to_dot in pieces: the vertex lines, then one piece per source vertex."""
+    directed = isinstance(graph, Digraph)
+    if labels is not None and len(labels) != graph.order:
+        raise ValueError("need one label per vertex")
+    yield "digraph {" if directed else "graph {"
+    yield "".join(f'\n  {v} [label="{labels[v] if labels is not None else v}"];'
+                  for v in range(graph.order))
+    arrow = "->" if directed else "--"
+    for text in _pair_text(graph, f"  {{}} {arrow} ", "{};", "\n"):
+        yield "\n" + text
+    yield "\n}\n"
 
 
 def to_dot(graph: SimpleGraph | Digraph, labels: Sequence[str] | None = None) -> str:
     """DOT text with caller-supplied vertex labels, for human inspection."""
-    directed = isinstance(graph, Digraph)
-    if labels is not None and len(labels) != graph.order:
-        raise ValueError("need one label per vertex")
-    lines = ["digraph {" if directed else "graph {"]
-    for v in range(graph.order):
-        label = labels[v] if labels is not None else str(v)
-        lines.append(f'  {v} [label="{label}"];')
-    arrow = "->" if directed else "--"
-    lines.extend(_pair_text(graph, f"  {{}} {arrow} ", "{};", "\n"))
-    lines.append("}\n")
-    return "\n".join(lines)
+    return "".join(dot_chunks(graph, labels))
+
+
+def json_chunks(graph: SimpleGraph | Digraph) -> Iterator[str]:
+    """The text of to_json in pieces: the header, one piece per source vertex, the close."""
+    key, flag = ("arcs", "true") if isinstance(graph, Digraph) else ("edges", "false")
+    yield f'{{"order": {graph.order}, "directed": {flag}, "{key}": ['
+    sep = ""
+    for text in _pair_text(graph, "[{}, ", "{}]", ", "):
+        yield sep + text
+        sep = ", "
+    yield "]}"
 
 
 def to_json(graph: SimpleGraph | Digraph) -> str:
@@ -361,10 +379,19 @@ def to_json(graph: SimpleGraph | Digraph) -> str:
     "arcs"|"edges": [[u, v], ...]}`` byte for byte, without building that
     list.
     """
-    key, flag = ("arcs", "true") if isinstance(graph, Digraph) else ("edges", "false")
-    # one join per level: a "+" here would copy the whole text once more
-    return "".join((f'{{"order": {graph.order}, "directed": {flag}, "{key}": [',
-                    ", ".join(_pair_text(graph, "[{}, ", "{}]", ", ")), "]}"))
+    return "".join(json_chunks(graph))
+
+
+def table_chunks(graph: SimpleGraph | Digraph) -> Iterator[str]:
+    """The text of to_table in pieces: the line with n, then one piece per matrix row."""
+    n = graph.order
+    text = np.full((n, 2 * n), ord(" "), dtype=np.uint8)
+    text[:, 0::2] = _to_matrix(graph.rows).view(np.uint8) + ord("0")
+    text[:, -1] = ord("\n")
+    yield f"{n}\n"
+    for row in text[:-1]:
+        yield row.tobytes().decode("ascii")
+    yield text[-1, :-1].tobytes().decode("ascii")
 
 
 def to_table(graph: SimpleGraph | Digraph) -> str:
@@ -372,8 +399,4 @@ def to_table(graph: SimpleGraph | Digraph) -> str:
 
     There is no newline after the last row.
     """
-    n = graph.order
-    text = np.full((n, 2 * n), ord(" "), dtype=np.uint8)
-    text[:, 0::2] = _to_matrix(graph.rows).view(np.uint8) + ord("0")
-    text[:, -1] = ord("\n")
-    return f"{n}\n" + text.reshape(-1)[:-1].tobytes().decode("ascii")
+    return "".join(table_chunks(graph))

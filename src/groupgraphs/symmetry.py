@@ -83,7 +83,7 @@ class CayleyWitness:
             "cayley": True,
             "directed": self.directed,
             "group_order": self.group.order,
-            "group_table": [[int(x) for x in row] for row in self.group.table],
+            "group_table": self.group.table.tolist(),
             "connection_set": sorted(self.connection.members),
             "vertex_map": [list(p.images) for p in self.vertex_map],
         }

@@ -142,6 +142,13 @@ def check_group_axioms(table: list[list[int]]) -> None:
                 assert table[table[a][b]][c] == table[a][table[b][c]]
 
 
+def associativity_violations(table: list[list[int]]) -> set[tuple[int, int, int]]:
+    """Every (a, b, c) with (a*b)*c != a*(b*c), by a plain triple loop."""
+    n = len(table)
+    return {(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if table[table[a][b]][c] != table[a][table[b][c]]}
+
+
 def table_from_matrices(matrices: list[list[list[complex]]]) -> list[list[int]]:
     """Multiplication table of a faithful 2x2 matrix representation.
 

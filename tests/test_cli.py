@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,30 @@ def test_is_cayley_witness_file(capsys, tmp_path: Path) -> None:
         code, _ = run(capsys, "is-cayley", *shlex.split(argv), "--witness", str(witness_path))
         assert code == 0
         assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == digest, argv
+
+
+def test_witness_file_is_json_dumps_with_indent_2(capsys, tmp_path: Path) -> None:
+    witness_path = tmp_path / "witness.json"
+    code, _ = run(capsys, "is-cayley", "--group", "Z64", "--witness", str(witness_path))
+    assert code == 0
+    text = witness_path.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert payload[0]["group_order"] == 64
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_power_z2048_json_traced_peak(tmp_path: Path) -> None:
+    # measured 22.7 MB; the text joined whole and an int64 table peaked near 85 MB
+    out = tmp_path / "power.json"
+    tracemalloc.start()
+    try:
+        code = main(["power", "--group", "Z2048", "--format", "json", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 32e6
+    assert out.stat().st_size == 27073668
 
 
 def test_bad_connection_set_is_one_error_line(capsys) -> None:

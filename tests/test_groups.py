@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupgraphs import groups
+from groupgraphs.catalog import catalog
 from groupgraphs.errors import (
     ElementOutOfRange,
     InvalidOrder,
@@ -16,7 +21,9 @@ from groupgraphs.errors import (
     NotClosed,
     NotInvertible,
 )
+from groupgraphs.groups import parse_group_spec
 from tests.conftest import (
+    associativity_violations,
     check_group_axioms,
     dicyclic_oracle,
     dihedral_oracle,
@@ -55,7 +62,7 @@ def test_from_table_rejects_entries_that_are_not_integers(table, cell) -> None:
 
 def test_from_table_accepts_numpy_integer_tables() -> None:
     group = groups.from_table(np.array([[0, 1], [1, 0]], dtype=np.uint8))
-    assert group.table.dtype == np.int64
+    assert group.table.dtype == np.int16
     assert group.mul(1, 1) == 0
 
 
@@ -95,19 +102,79 @@ def test_from_table_s3_composition() -> None:
     assert group.identity == index[(0, 1, 2)]
 
 
+# A 5x5 Latin square with identity 0 that is not a group table.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_from_table_rejects_non_associative_latin_square() -> None:
-    # A 5x5 Latin square with identity 0 that is not a group table.
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
+    table = LOOP5
     with pytest.raises(NotAssociative) as info:
         groups.from_table(table)
     a, b, c = info.value.triple
     assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_deferred_check_rejects_order_130_loop() -> None:
+    # LOOP5 x Z26, pair (i, j) indexed as 26*i + j: a loop of order 130, so
+    # construction defers the check and Light's test runs on generators
+    loop, z = np.array(LOOP5), groups.cyclic(26).table
+    table = (loop[:, None, :, None] * 26 + z[None, :, None, :]).reshape(130, 130)
+    group = groups.from_table(table)
+    assert group.order > groups.EAGER_ASSOCIATIVITY_BOUND
+    with pytest.raises(NotAssociative) as info:
+        group.check_associativity()
+    a, s, c = info.value.triple
+    assert table[table[a, s], c] != table[a, table[s, c]]
+
+
+SMALL_GROUPS = [(group.table.tolist(), group.identity) for group in catalog(8)]
+
+
+@st.composite
+def loops(draw) -> tuple[list[list[int]], int]:
+    """An identity-bearing Latin square of order <= 8 and its identity.
+
+    A catalog group table, after up to two row-cycle switches that keep
+    the identity (usually no longer associative), relabelled at random.
+    A switch exchanges rows a and b on a cycle of columns that holds the
+    same entries in both rows, so rows and columns stay permutations.
+    """
+    rows, e = draw(st.sampled_from(SMALL_GROUPS))
+    table = [list(row) for row in rows]
+    n = len(table)
+    others = [x for x in range(n) if x != e]
+    for _ in range(draw(st.integers(0, 2)) if n >= 3 else 0):
+        a, b = draw(st.permutations(others))[:2]
+        column = draw(st.sampled_from(others))
+        cycle = [column]
+        while (column := table[b].index(table[a][column])) != cycle[0]:
+            cycle.append(column)
+        if e not in cycle:
+            for x in cycle:
+                table[a][x], table[b][x] = table[b][x], table[a][x]
+    sigma = draw(st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            relabelled[sigma[x]][sigma[y]] = sigma[table[x][y]]
+    return relabelled, sigma[e]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(loops())
+def test_light_test_on_generators_matches_brute_force(loop) -> None:
+    table, identity = loop
+    t = np.array(table, dtype=np.int16)
+    violation = groups._light_violation(t, groups._generators(t, identity))
+    violations = associativity_violations(table)
+    assert (violation is None) == (not violations)
+    assert violation is None or violation in violations
 
 
 def test_cyclic_examples() -> None:
@@ -262,6 +329,39 @@ def test_deferred_associativity_above_bound() -> None:
     group = groups.cyclic(130)
     assert group.order > groups.EAGER_ASSOCIATIVITY_BOUND
     group.check_associativity()
+    groups.cyclic(1024).check_associativity()
+
+
+# sha256 of each table as little-endian int64, recorded from the int64
+# constructors: the narrow ones must compute the same products
+LARGE_TABLE_DIGESTS = {
+    "Z2048": "aa21f3e0f82173205f83135559f210d061514814d60e735807064ec7dd0ace44",
+    "D1024": "0185a11617d2adbd304a9e7d0397ffdde501dca3fddd94e8d5be5605d5cdd682",
+    "Dic512": "8b7f295f9492d6ee209e7e928f2e25bbebdd4dc281a1d118d0accf6b48e5746a",
+    "A6": "8cbe6b8a6c56438b340d5445cfc818e5210bfc390f9891a9f39b04866a599e68",
+    "Z2xZ1024": "bc0bd4e89b3c9552e7d42ca1c31b5766af32e64c8faad4525c52970c26444f0a",
+    "S5xZ2": "64ca08b0e348c2307a3c8b10aca8b6a610e7acb19f4a090f04f763607745ab32",
+}
+
+
+def test_large_tables_are_narrow_and_unchanged() -> None:
+    assert groups._index_dtype(32767) is np.int16
+    assert groups._index_dtype(32768) is np.int32
+    for spec, digest in LARGE_TABLE_DIGESTS.items():
+        table = parse_group_spec(spec).table
+        assert table.dtype == np.int16
+        assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest, spec
+
+
+def test_parse_z2048_traced_peak() -> None:
+    # measured 21.3 MB; the int64 table and its copies peaked at 68 MB
+    tracemalloc.start()
+    try:
+        parse_group_spec("Z2048")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_dihedral_relations() -> None:
