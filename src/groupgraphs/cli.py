@@ -247,8 +247,17 @@ def _add_graph_source_args(sub: argparse.ArgumentParser, default_bound: int) -> 
                      help="write output to FILE instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help and usage wrap at 78 columns, argparse's width without COLUMNS
+    or a terminal, which it would otherwise read; subparsers are _Parsers."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+                         **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupgraphs",
         description="Power graphs, Cayley graphs, and Cayley-representability "
                     "of finite groups.",

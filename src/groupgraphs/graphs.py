@@ -10,8 +10,9 @@ Whole-graph work (symmetrising, listing pairs, writing large outputs)
 goes through an n x n boolean matrix instead, built from the rows and
 packed back by the one pair of converters below, and constructors
 elsewhere hand in such a matrix.  Serialization covers the standard
-graph6/digraph6 formats for n <= 62, DOT output for human inspection, and
-JSON and 0/1 table text at any order.  The DOT, JSON and table text comes
+graph6/digraph6 formats for n <= 62 (one codec: they differ only in a
+prefix and a pair order), DOT output for human inspection, and JSON and
+0/1 table text at any order.  The DOT, JSON and table text comes
 in chunks, about one per matrix row (``dot_chunks``, ``json_chunks``,
 ``table_chunks``), so a large graph can be written without holding its
 whole text; ``to_dot``, ``to_json`` and ``to_table`` join the same chunks.
@@ -19,6 +20,7 @@ whole text; ``to_dot``, ``to_json`` and ``to_table`` join the same chunks.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, Iterator, Sequence
 
@@ -218,110 +220,94 @@ class Digraph(_BitRows):
 
 # -- graph6 / digraph6 ------------------------------------------------------
 #
-# graph6:   byte n+63, then the upper triangle read column by column
-#           (pairs (0,1), (0,2), (1,2), (0,3), ...) packed 6 bits per byte,
-#           each byte offset by 63; zero padding to a byte boundary.
-# digraph6: '&', byte n+63, then the full n*n matrix row by row, packed the
-#           same way.
+# One codec for both formats.  A line is an optional '&' (digraph6), the
+# byte n+63, then the relation's bits in the pair order of `_bit_pairs`
+# (graph6: u < v column by column, (0,1), (0,2), (1,2), (0,3), ...;
+# digraph6: every (u, v) row by row), 6 to a byte with the first bit most
+# significant, each byte offset by 63, zero-padded to a byte boundary.
 
-def _pack_bits(bits: list[int]) -> str:
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        value = 0
-        for b in bits[i: i + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return "".join(chars)
+@functools.cache
+def _bit_pairs(n: int, directed: bool) -> tuple[tuple[int, int], ...]:
+    """The pairs whose bits a graph6 (digraph6 if directed) line lists, in order."""
+    if directed:
+        return tuple((u, v) for u in range(n) for v in range(n))
+    return tuple((u, v) for v in range(1, n) for u in range(v))
 
 
-def _unpack_bits(data: str, expected: int, context: str) -> list[int]:
-    need = (expected + 5) // 6
-    if len(data) != need:
-        raise MalformedEncoding(
-            f"{context}: expected {need} data bytes for the declared order, got {len(data)}"
-        )
-    bits: list[int] = []
-    for ch in data:
-        value = ord(ch) - 63
-        if not 0 <= value < 64:
-            raise MalformedEncoding(f"{context}: byte {ch!r} outside the printable range")
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[expected:]):
-        raise MalformedEncoding(f"{context}: nonzero padding bits")
-    return bits[:expected]
+def _encode(graph: SimpleGraph | Digraph, directed: bool) -> str:
+    name = "digraph6" if directed else "graph6"
+    n = graph.order
+    if n > GRAPH6_MAX_ORDER:
+        raise UnsupportedOrder(f"{name} supports n <= {GRAPH6_MAX_ORDER}, got {n}")
+    bits = "".join("01"[graph.rows[u] >> v & 1] for u, v in _bit_pairs(n, directed))
+    bits += "0" * (-len(bits) % 6)
+    data = "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+    return ("&" if directed else "") + chr(n + 63) + data
 
 
-def _header_order(ch: str, context: str) -> int:
-    n = ord(ch) - 63
+def _decode(text: str, directed: bool) -> SimpleGraph | Digraph:
+    name = "digraph6" if directed else "graph6"
+    s = text.strip().removeprefix(f">>{name}<<")
+    if directed:
+        if not s.startswith("&"):
+            raise MalformedEncoding("digraph6: missing '&' prefix")
+        s = s[1:]
+        if not s:
+            raise MalformedEncoding("digraph6: empty after prefix")
+    elif not s:
+        raise MalformedEncoding("graph6: empty string")
+    elif s.startswith("&"):
+        raise MalformedEncoding("graph6: '&' marks a digraph6 line; use from_digraph6")
+    n = ord(s[0]) - 63
     if n > GRAPH6_MAX_ORDER:
         raise UnsupportedOrder(
-            f"{context}: multi-byte order headers (n > {GRAPH6_MAX_ORDER}) are not supported"
+            f"{name}: multi-byte order headers (n > {GRAPH6_MAX_ORDER}) are not supported"
         )
     if n < 1:
-        raise MalformedEncoding(f"{context}: declared order {n} is not positive")
-    return n
+        raise MalformedEncoding(f"{name}: declared order {n} is not positive")
+    pairs = _bit_pairs(n, directed)
+    data = s[1:]
+    need = (len(pairs) + 5) // 6
+    if len(data) != need:
+        raise MalformedEncoding(
+            f"{name}: expected {need} data bytes for the declared order, got {len(data)}"
+        )
+    value = 0
+    for ch in data:
+        byte = ord(ch) - 63
+        if not 0 <= byte < 64:
+            raise MalformedEncoding(f"{name}: byte {ch!r} outside the printable range")
+        value = value << 6 | byte
+    bits = format(value, f"0{6 * need}b")
+    if "1" in bits[len(pairs):]:
+        raise MalformedEncoding(f"{name}: nonzero padding bits")
+    rows = [0] * n
+    i = bits.find("1")
+    while i >= 0:
+        u, v = pairs[i]
+        if u == v:
+            raise MalformedEncoding(f"{name}: self-loop at vertex {u}")
+        rows[u] |= 1 << v
+        if not directed:
+            rows[v] |= 1 << u
+        i = bits.find("1", i + 1)
+    return (Digraph if directed else SimpleGraph)(rows)
 
 
 def to_graph6(graph: SimpleGraph) -> str:
-    if graph.order > GRAPH6_MAX_ORDER:
-        raise UnsupportedOrder(f"graph6 supports n <= {GRAPH6_MAX_ORDER}, got {graph.order}")
-    bits = [(graph.rows[u] >> v) & 1
-            for v in range(1, graph.order) for u in range(v)]
-    return chr(graph.order + 63) + _pack_bits(bits)
+    return _encode(graph, directed=False)
 
 
 def from_graph6(text: str) -> SimpleGraph:
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
-    if not s:
-        raise MalformedEncoding("graph6: empty string")
-    if s.startswith("&"):
-        raise MalformedEncoding("graph6: '&' marks a digraph6 line; use from_digraph6")
-    n = _header_order(s[0], "graph6")
-    bits = _unpack_bits(s[1:], n * (n - 1) // 2, "graph6")
-    rows = [0] * n
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            i += 1
-    return SimpleGraph(rows)
+    return _decode(text, directed=False)
 
 
 def to_digraph6(graph: Digraph) -> str:
-    if graph.order > GRAPH6_MAX_ORDER:
-        raise UnsupportedOrder(f"digraph6 supports n <= {GRAPH6_MAX_ORDER}, got {graph.order}")
-    bits = [(graph.rows[u] >> v) & 1
-            for u in range(graph.order) for v in range(graph.order)]
-    return "&" + chr(graph.order + 63) + _pack_bits(bits)
+    return _encode(graph, directed=True)
 
 
 def from_digraph6(text: str) -> Digraph:
-    s = text.strip()
-    if s.startswith(">>digraph6<<"):
-        s = s[len(">>digraph6<<"):]
-    if not s.startswith("&"):
-        raise MalformedEncoding("digraph6: missing '&' prefix")
-    s = s[1:]
-    if not s:
-        raise MalformedEncoding("digraph6: empty after prefix")
-    n = _header_order(s[0], "digraph6")
-    bits = _unpack_bits(s[1:], n * n, "digraph6")
-    rows = [0] * n
-    i = 0
-    for u in range(n):
-        for v in range(n):
-            if bits[i]:
-                if u == v:
-                    raise MalformedEncoding(f"digraph6: self-loop at vertex {u}")
-                rows[u] |= 1 << v
-            i += 1
-    return Digraph(rows)
+    return _decode(text, directed=True)
 
 
 def _pair_text(graph: SimpleGraph | Digraph, head: str, tail: str, sep: str) -> Iterator[str]:

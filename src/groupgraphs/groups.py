@@ -336,41 +336,71 @@ def from_table_text(text: str, name: str | None = None) -> FiniteGroup:
 
 # -- catalog constructors ---------------------------------------------------
 
+def _sum_table(k: int) -> np.ndarray:
+    """table[i, j] = (i + j) mod k, in a type that also holds indices below 2k."""
+    idx = np.arange(k, dtype=_index_dtype(2 * k))   # sums reach 2k - 2
+    table = np.add.outer(idx, idx)
+    np.subtract(table, k, out=table, where=table >= k)
+    return table
+
+
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with table[a][b] = (a + b) mod n."""
     if n < 1:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
-    idx = np.arange(n, dtype=_index_dtype(2 * n))   # sums reach 2n - 2
-    table = np.add.outer(idx, idx)
-    np.subtract(table, n, out=table, where=table >= n)
-    return FiniteGroup(table, name=f"Z{n}")
+    return FiniteGroup(_sum_table(n), name=f"Z{n}")
+
+
+def _index2_extension(k: int, twist: int, name: str, labels: tuple[str, str]) -> FiniteGroup:
+    """The group of order 2k made of a cyclic <a> of order k and its coset <a>b.
+
+    Relations b*a = a^-1*b and b^2 = a^twist; index i is a^i, index k+i is
+    a^i*b, and `labels` name the two kinds.  With A[i, j] = i+j and S[i, j]
+    = i-j = A[i, -j] (mod k) the table is [[A, A+k], [S+k, S+twist]].
+    """
+    a, j = _sum_table(k), np.arange(k)
+    table = np.block([[a, a + k], [a[:, -j % k] + k, a[:, (twist - j) % k]]])
+    names = [label.format(i) for label in labels for i in range(k)]
+    return FiniteGroup(table, name=name, element_names=names)
 
 
 def dihedral(m: int) -> FiniteGroup:
-    """The dihedral group D_m of the m-gon, order 2m.
+    """The dihedral group D_m of the m-gon, order 2m: r^m = s^2 = 1, s*r = r^-1*s.
 
-    Indices 0..m-1 are the rotations r^i, indices m..2m-1 the reflections
-    s*r^i; an element acts on the m-gon as x -> a + eps*x with eps = +-1.
+    `_index2_extension` with twist 0, the recipe Dic_m and Q8 share.  Index
+    i is the rotation r^i, x -> i + x; index m+i the reflection r^i*s,
+    x -> i - x, labelled sr<i>.
     """
     if m < 2:
         raise InvalidOrder(f"dihedral parameter must be >= 2, got {m}")
-
-    idx = np.arange(2 * m, dtype=_index_dtype(2 * m))
-    a, ea = (idx % m)[:, None], (idx // m)[:, None]
-    b, eb = idx % m, idx // m
-    # x -> b + t*x, then x -> a + s*x, is x -> (a + s*b) + s*t*x  (s, t = +-1)
-    table = np.where(ea, a - b, a + b) % m + m * (ea ^ eb)
-    names = [f"r{i}" for i in range(m)] + [f"sr{i}" for i in range(m)]
-    return FiniteGroup(table, name=f"D{m}", element_names=names)
+    return _index2_extension(m, 0, f"D{m}", ("r{}", "sr{}"))
 
 
-def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
-    """table[i, j] = index of perms[i] o perms[j]; perms must be in lex order.
+def dicyclic(m: int) -> FiniteGroup:
+    """The dicyclic group Dic_m of order 4m.
 
-    A permutation's base-k code orders like the permutation itself, so the
-    codes of lex-ordered perms are sorted and searchsorted maps a composed
-    code back to its index.  One row is composed at a time, which keeps the
-    working memory at O(n * k) beside the n x n table.
+    Presentation a^(2m) = 1, b^2 = a^m, b*a = a^-1*b: D_m's recipe
+    (`_index2_extension`) on a cyclic group of order 2m, with twist m.
+    Indices 0..2m-1 are a^i, indices 2m..4m-1 are a^i*b.
+    """
+    if m < 2:
+        raise InvalidOrder(f"dicyclic parameter must be >= 2, got {m}")
+    return _index2_extension(2 * m, m, f"Dic{m}", ("a{}", "a{}b"))
+
+
+def quaternion() -> FiniteGroup:
+    """The quaternion group Q_8, which is Dic_2 under another name."""
+    return _index2_extension(4, 2, "Q8", ("a{}", "a{}b"))
+
+
+def _permutation_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
+    """The group of lex-ordered image tuples under x -> p[q[x]] for p times q.
+
+    table[i, j] is the index of perms[i] o perms[j].  A permutation's base-k
+    code orders like the permutation itself, so the codes of lex-ordered
+    perms are sorted and searchsorted maps a composed code back to its
+    index.  One row is composed at a time, which keeps the working memory
+    at O(n * k) beside the n x n table.
     """
     arr = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
     k = arr.shape[1]
@@ -379,11 +409,8 @@ def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
     table = np.empty((len(perms), len(perms)), dtype=_index_dtype(len(perms)))
     for i, p in enumerate(arr):
         table[i] = np.searchsorted(codes, p[arr] @ weights)
-    return table
-
-
-def _perm_name(p: tuple[int, ...]) -> str:
-    return "(" + " ".join(str(x) for x in p) + ")"
+    names = ["(" + " ".join(map(str, p)) + ")" for p in perms]
+    return FiniteGroup(table, name=name, element_names=names)
 
 
 def symmetric(k: int) -> FiniteGroup:
@@ -393,9 +420,7 @@ def symmetric(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise InvalidOrder(f"symmetric group parameter must be >= 1, got {k}")
-    perms = [tuple(p) for p in _iter_permutations(range(k))]
-    return FiniteGroup(_perm_table(perms), name=f"S{k}",
-                       element_names=[_perm_name(p) for p in perms])
+    return _permutation_group(list(_iter_permutations(range(k))), f"S{k}")
 
 
 def alternating(k: int) -> FiniteGroup:
@@ -405,38 +430,12 @@ def alternating(k: int) -> FiniteGroup:
     """
     if k < 3:
         raise InvalidOrder(f"alternating group parameter must be >= 3, got {k}")
-    perms = [tuple(p) for p in _iter_permutations(range(k)) if _is_even(p)]
-    return FiniteGroup(_perm_table(perms), name=f"A{k}",
-                       element_names=[_perm_name(p) for p in perms])
+    return _permutation_group(list(filter(_is_even, _iter_permutations(range(k)))), f"A{k}")
 
 
 def _is_even(p: Sequence[int]) -> bool:
     inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
     return inversions % 2 == 0
-
-
-def dicyclic(m: int) -> FiniteGroup:
-    """The dicyclic group Dic_m of order 4m.
-
-    Presentation a^(2m) = 1, b^2 = a^m, b*a = a^-1*b; indices 0..2m-1 are
-    a^i, indices 2m..4m-1 are a^i*b.
-    """
-    if m < 2:
-        raise InvalidOrder(f"dicyclic parameter must be >= 2, got {m}")
-    two_m = 2 * m
-    idx = np.arange(4 * m, dtype=_index_dtype(4 * m))
-    i, bi = (idx % two_m)[:, None], (idx // two_m)[:, None]
-    j, bj = idx % two_m, idx // two_m
-    # a^i * a^j b^bj = a^(i+j) b^bj; a^i b * a^j b^bj = a^(i-j) b^(1+bj), b^2 = a^m
-    table = np.where(bi, i - j + m * bj, i + j) % two_m + two_m * (bi ^ bj)
-    names = [f"a{i}" for i in range(two_m)] + [f"a{i}b" for i in range(two_m)]
-    return FiniteGroup(table, name=f"Dic{m}", element_names=names)
-
-
-def quaternion() -> FiniteGroup:
-    """The quaternion group Q_8 (the m = 2 dicyclic group)."""
-    group = dicyclic(2)
-    return FiniteGroup(group.table, name="Q8", element_names=group.element_names)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

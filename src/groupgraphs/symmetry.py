@@ -20,6 +20,7 @@ never lists the group.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -274,7 +275,7 @@ def _search_automorphisms(
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[x] for x in q)
+    return tuple([p[x] for x in q])
 
 
 def _semiregular(p: tuple[int, ...]) -> bool:
@@ -303,9 +304,10 @@ def _search_regular_subgroup(
 
     `perms` must be a full automorphism list (closed under composition).
     Backtracks over the candidates for the lowest unresolved vertex, in the
-    given order, and propagates closure under composition: each forced
-    product either matches an existing choice or pins down a new vertex.
-    Returns the members ordered by their image of 0, or None.
+    given order.  The candidates chosen so far generate the selection: a
+    choice stands iff no two members of the group they generate send 0 to
+    the same vertex.  Returns the members ordered by their image of 0, or
+    None.
     """
     identity = tuple(range(n))
     if identity not in perms:
@@ -316,45 +318,44 @@ def _search_regular_subgroup(
         cand[p[0]].append(p)
     if any(not c for c in cand):
         return None  # not even transitive
-    # every selection the search can complete is a regular group, whose
-    # non-identity members are semiregular: no other candidate can succeed
-    for v in range(1, n):
-        cand[v] = [p for p in cand[v] if _semiregular(p)]
+    # every selection the search can complete is a regular group, whose non-identity
+    # members are semiregular: no other candidate can succeed (checked once, when tried)
+    semiregular = functools.cache(_semiregular)
 
-    def close(sel: list[tuple[int, ...] | None], v: int,
-              p: tuple[int, ...]) -> list[tuple[int, ...] | None] | None:
+    def generate(sel: list[tuple[int, ...] | None],
+                 gens: list[tuple[int, ...]]) -> list[tuple[int, ...] | None] | None:
+        """<gens> by image of 0, grown from sel = <gens[:-1]> by right
+        multiplication (sel's members need only the new generator); None
+        if two members send 0 to the same vertex."""
         sel = list(sel)
-        sel[v] = p
-        queue = [p]
-        head = 0
-        while head < len(queue):
-            q = queue[head]
-            head += 1
-            for r in sel:
-                if r is None:
-                    continue
-                for t in (_compose(q, r), _compose(r, q)):
-                    w = t[0]
-                    existing = sel[w]
-                    if existing is None:
-                        sel[w] = t
-                        queue.append(t)
-                    elif existing != t:
-                        return None
+        queue = [q for q in sel if q is not None]
+        known = len(queue)
+        for i, q in enumerate(queue):
+            for g in gens[-1:] if i < known else gens:
+                t = _compose(q, g)
+                existing = sel[t[0]]
+                if existing is None:
+                    sel[t[0]] = t
+                    queue.append(t)
+                elif existing != t:
+                    return None
         return sel
 
-    def extend(sel: list[tuple[int, ...] | None]) -> list[tuple[int, ...]] | None:
-        for v in range(n):
-            if sel[v] is None:
-                for p in cand[v]:
-                    nxt = close(sel, v, p)
-                    if nxt is not None:
-                        result = extend(nxt)
-                        if result is not None:
-                            return result
-                return None
-        return [p for p in sel if p is not None]
+    def extend(gens: list[tuple[int, ...]],
+               sel: list[tuple[int, ...] | None]) -> list[tuple[int, ...]] | None:
+        if None not in sel:
+            return sel
+        v = sel.index(None)
+        for p in cand[v]:
+            if not semiregular(p):
+                continue
+            nxt = generate(sel, gens + [p])
+            if nxt is not None:
+                result = extend(gens + [p], nxt)
+                if result is not None:
+                    return result
+        return None
 
     start: list[tuple[int, ...] | None] = [None] * n
     start[0] = identity
-    return extend(start)
+    return extend([], start)

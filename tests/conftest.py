@@ -101,6 +101,20 @@ def unfiltered_regular_subgroup(
     return extend(start)
 
 
+def digraph6_by_definition(graph: Digraph) -> str:
+    """digraph6 written from its definition, one character per bit.
+
+    '&', then chr(n + 63), then the n x n 0/1 matrix read row by row,
+    zero-padded to a multiple of 6 and cut into groups of 6 bits, each
+    group written as chr(value + 63).
+    """
+    n = graph.order
+    bits = "".join(str((graph.rows[u] >> v) & 1) for u in range(n) for v in range(n))
+    bits += "0" * (-len(bits) % 6)
+    return "&" + chr(n + 63) + "".join(
+        chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+
+
 def naive_power_adjacency(group: FiniteGroup, x: int, y: int) -> tuple[bool, bool]:
     """(x has arc to y, x adjacent to y) recomputed from the definition.
 

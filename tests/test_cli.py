@@ -264,6 +264,24 @@ def test_is_cayley_json_format(capsys) -> None:
     assert record["reason"] == "NotRegularDegree"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["power", "--help"], ["cayley", "--help"], ["aut", "--help"],
+    ["is-cayley", "--help"], ["verify", "--help"], [], ["power"], ["verify", "--max-order"],
+], ids=" ".join)
+def test_help_and_usage_do_not_read_columns(capsys, monkeypatch, argv) -> None:
+    texts = []
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        texts.append((info.value.code, captured.out, captured.err))
+    assert texts[0] == texts[1]
+    code, out, err = texts[0]
+    assert code == (0 if "--help" in argv else 2)
+    assert max(len(line) for line in (out + err).splitlines()) <= 78
+
+
 def test_is_cayley_requires_exactly_one_source() -> None:
     with pytest.raises(SystemExit):
         main(["is-cayley"])

@@ -6,10 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupgraphs import graphs, groups, powergraph
 from groupgraphs.errors import MalformedEncoding, UnsupportedOrder, VertexOutOfRange
 from groupgraphs.graphs import Digraph, SimpleGraph
+from tests.conftest import digraph6_by_definition
 
 
 def test_complete_graph_degrees() -> None:
@@ -122,32 +125,98 @@ def test_format_headers_are_accepted() -> None:
     assert graphs.from_digraph6(">>digraph6<<" + encoded).has_arc(0, 1)
 
 
-def test_malformed_graph6_rejected() -> None:
-    with pytest.raises(MalformedEncoding):
-        graphs.from_graph6("")
-    with pytest.raises(MalformedEncoding):
-        graphs.from_graph6("C~~")  # trailing bytes
-    with pytest.raises(MalformedEncoding):
-        graphs.from_graph6("C")  # truncated body
-    with pytest.raises(MalformedEncoding):
-        graphs.from_graph6("A\x19")  # byte below the printable range
-    with pytest.raises(MalformedEncoding):
-        graphs.from_graph6("A~")  # nonzero padding bits for n=2
-    with pytest.raises(MalformedEncoding, match="not positive"):
-        graphs.from_graph6("?")  # order 0
-    with pytest.raises(MalformedEncoding, match="digraph6"):
-        graphs.from_graph6("&A_")
+MALFORMED = [
+    # encoders
+    ("to_graph6", SimpleGraph.edgeless(63), UnsupportedOrder, "graph6 supports n <= 62, got 63"),
+    ("to_digraph6", Digraph([0] * 63), UnsupportedOrder, "digraph6 supports n <= 62, got 63"),
+    # graph6: prefix, header, length, byte range, padding
+    ("from_graph6", "", MalformedEncoding, "graph6: empty string"),
+    ("from_graph6", ">>graph6<<", MalformedEncoding, "graph6: empty string"),
+    ("from_graph6", "&A_", MalformedEncoding,
+     "graph6: '&' marks a digraph6 line; use from_digraph6"),
+    ("from_graph6", "~", UnsupportedOrder,
+     "graph6: multi-byte order headers (n > 62) are not supported"),
+    ("from_graph6", "\x7f", UnsupportedOrder,
+     "graph6: multi-byte order headers (n > 62) are not supported"),
+    ("from_graph6", "?", MalformedEncoding, "graph6: declared order 0 is not positive"),
+    ("from_graph6", "0", MalformedEncoding, "graph6: declared order -15 is not positive"),
+    ("from_graph6", "C", MalformedEncoding,
+     "graph6: expected 1 data bytes for the declared order, got 0"),
+    ("from_graph6", "C~~", MalformedEncoding,
+     "graph6: expected 1 data bytes for the declared order, got 2"),
+    ("from_graph6", "A\x19\x19", MalformedEncoding,
+     "graph6: expected 1 data bytes for the declared order, got 2"),
+    ("from_graph6", "A\x19", MalformedEncoding,
+     "graph6: byte '\\x19' outside the printable range"),
+    ("from_graph6", "A\x7f", MalformedEncoding,
+     "graph6: byte '\\x7f' outside the printable range"),
+    ("from_graph6", "A~", MalformedEncoding, "graph6: nonzero padding bits"),
+    ("from_graph6", "B~", MalformedEncoding, "graph6: nonzero padding bits"),
+    # digraph6: the same, then self-loops, the first in row order
+    ("from_digraph6", "", MalformedEncoding, "digraph6: missing '&' prefix"),
+    ("from_digraph6", "CAww", MalformedEncoding, "digraph6: missing '&' prefix"),
+    ("from_digraph6", ">>digraph6<<", MalformedEncoding, "digraph6: missing '&' prefix"),
+    ("from_digraph6", "&", MalformedEncoding, "digraph6: empty after prefix"),
+    ("from_digraph6", ">>digraph6<<&", MalformedEncoding, "digraph6: empty after prefix"),
+    ("from_digraph6", "&~", UnsupportedOrder,
+     "digraph6: multi-byte order headers (n > 62) are not supported"),
+    ("from_digraph6", "&?", MalformedEncoding, "digraph6: declared order 0 is not positive"),
+    ("from_digraph6", "&&", MalformedEncoding, "digraph6: declared order -25 is not positive"),
+    ("from_digraph6", "&CAw", MalformedEncoding,
+     "digraph6: expected 3 data bytes for the declared order, got 2"),
+    ("from_digraph6", "&B\x19", MalformedEncoding,
+     "digraph6: expected 2 data bytes for the declared order, got 1"),
+    ("from_digraph6", "&A\x19", MalformedEncoding,
+     "digraph6: byte '\\x19' outside the printable range"),
+    ("from_digraph6", "&B~\x7f", MalformedEncoding,
+     "digraph6: byte '\\x7f' outside the printable range"),
+    ("from_digraph6", "&B\x7f~", MalformedEncoding,
+     "digraph6: byte '\\x7f' outside the printable range"),
+    ("from_digraph6", "&A~", MalformedEncoding, "digraph6: nonzero padding bits"),
+    ("from_digraph6", "&B~~", MalformedEncoding, "digraph6: nonzero padding bits"),
+    ("from_digraph6", "&A_", MalformedEncoding, "digraph6: self-loop at vertex 0"),
+    ("from_digraph6", "&B_G", MalformedEncoding, "digraph6: self-loop at vertex 0"),
+    ("from_digraph6", "&BAG", MalformedEncoding, "digraph6: self-loop at vertex 1"),
+    ("from_digraph6", "&B?G", MalformedEncoding, "digraph6: self-loop at vertex 2"),
+]
 
 
-def test_malformed_digraph6_rejected() -> None:
-    with pytest.raises(MalformedEncoding):
-        graphs.from_digraph6("CAww")  # missing '&' prefix
-    with pytest.raises(MalformedEncoding):
-        graphs.from_digraph6("&CAw")  # truncated body
-    with pytest.raises(MalformedEncoding, match="empty after prefix"):
-        graphs.from_digraph6("&")
-    with pytest.raises(MalformedEncoding, match="self-loop at vertex 0"):
-        graphs.from_digraph6("&A_")
+@pytest.mark.parametrize("function, argument, error, message", MALFORMED)
+def test_codec_messages_are_pinned(function, argument, error, message) -> None:
+    with pytest.raises(error) as info:
+        getattr(graphs, function)(argument)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@st.composite
+def loop_free_rows(draw) -> list[int]:
+    """Random bit-rows without loops: mostly n <= 16, sometimes up to 62."""
+    n = draw(st.one_of(st.integers(1, 16), st.sampled_from((31, 47, 61, 62))))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return [row & ~(1 << v) for v, row in enumerate(rows)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(loop_free_rows())
+def test_graph6_matches_networkx_and_round_trips(rows) -> None:
+    nx = pytest.importorskip("networkx")
+    graph = Digraph(rows).underlying_undirected()
+    reference = nx.Graph()
+    reference.add_nodes_from(range(graph.order))
+    reference.add_edges_from(graph.edges())
+    encoded = graphs.to_graph6(graph)
+    assert encoded == nx.to_graph6_bytes(reference, header=False).decode("ascii").strip()
+    assert graphs.from_graph6(encoded) == graph
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(loop_free_rows())
+def test_digraph6_matches_definition_and_round_trips(rows) -> None:
+    digraph = Digraph(rows)
+    encoded = graphs.to_digraph6(digraph)
+    assert encoded == digraph6_by_definition(digraph)
+    assert graphs.from_digraph6(encoded) == digraph
 
 
 def test_rows_constructor_rejects_bad_rows() -> None:
@@ -165,10 +234,6 @@ def test_rows_constructor_rejects_bad_rows() -> None:
 
 
 def test_graph6_order_bound() -> None:
-    with pytest.raises(UnsupportedOrder):
-        graphs.to_graph6(SimpleGraph.edgeless(63))
-    with pytest.raises(UnsupportedOrder):
-        graphs.from_graph6("~")  # the long-form header of orders above 62
     big = SimpleGraph.edgeless(62)
     assert graphs.from_graph6(graphs.to_graph6(big)) == big
 
