@@ -29,6 +29,36 @@ def petersen_graph() -> SimpleGraph:
     return SimpleGraph.from_edges(10, edges)
 
 
+def relabel(graph, sigma):
+    """The same graph with vertex v renamed sigma[v]."""
+    n = graph.order
+    matrix = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            matrix[sigma[u]][sigma[v]] = (graph.rows[u] >> v) & 1
+    return type(graph).from_matrix(matrix)
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side: graphs[i]'s vertices follow those of graphs[:i]."""
+    n = sum(graph.order for graph in graphs)
+    matrix = [[0] * n for _ in range(n)]
+    offset = 0
+    for graph in graphs:
+        for u in range(graph.order):
+            for v in range(graph.order):
+                matrix[offset + u][offset + v] = (graph.rows[u] >> v) & 1
+        offset += graph.order
+    return type(graphs[0]).from_matrix(matrix)
+
+
+def complement(graph):
+    """Every ordered pair of distinct vertices joined exactly when it was not."""
+    n = graph.order
+    return type(graph).from_matrix(
+        [[int(u != v and not (graph.rows[u] >> v) & 1) for v in range(n)] for u in range(n)])
+
+
 def brute_force_automorphisms(graph: SimpleGraph | Digraph) -> list[tuple[int, ...]]:
     """All n! permutations filtered by adjacency preservation."""
     n, rows = graph.order, graph.rows

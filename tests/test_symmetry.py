@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,14 @@ from groupgraphs.errors import SearchBoundExceeded
 from groupgraphs.graphs import Digraph, SimpleGraph
 from groupgraphs.perms import Permutation
 from groupgraphs.symmetry import NotCayleyReason
-from tests.conftest import brute_force_automorphisms, petersen_graph, unfiltered_regular_subgroup
+from tests.conftest import (
+    brute_force_automorphisms,
+    complement,
+    disjoint_union,
+    petersen_graph,
+    relabel,
+    unfiltered_regular_subgroup,
+)
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -301,16 +309,6 @@ def test_cayley_graphs_of_catalog_groups_are_recognized(full_catalog) -> None:
 SMALL_GROUPS = catalog(10)
 
 
-def relabel(graph, sigma):
-    """The same graph with vertex v renamed sigma[v]."""
-    n = graph.order
-    matrix = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            matrix[sigma[u]][sigma[v]] = (graph.rows[u] >> v) & 1
-    return type(graph).from_matrix(matrix)
-
-
 @st.composite
 def cayley_graphs(draw, max_order=8, directed=None):
     group = draw(st.sampled_from([g for g in SMALL_GROUPS if g.order <= max_order]))
@@ -328,16 +326,7 @@ def cayley_graphs(draw, max_order=8, directed=None):
 def disjoint_unions(draw):
     """Two Cayley graphs side by side: regular, and often not vertex-transitive."""
     directed = draw(st.booleans())
-    parts = [draw(cayley_graphs(4, directed)), draw(cayley_graphs(4, directed))]
-    n = sum(part.order for part in parts)
-    matrix = [[0] * n for _ in range(n)]
-    offset = 0
-    for part in parts:
-        for u in range(part.order):
-            for v in range(part.order):
-                matrix[offset + u][offset + v] = (part.rows[u] >> v) & 1
-        offset += part.order
-    return type(parts[0]).from_matrix(matrix)
+    return disjoint_union(draw(cayley_graphs(4, directed)), draw(cayley_graphs(4, directed)))
 
 
 @st.composite
@@ -386,6 +375,87 @@ def assert_relabelling_invariant(graph, sigma) -> None:
 def test_relabelling_never_changes_a_verdict(case) -> None:
     graph, sigma = case
     assert_relabelling_invariant(graph, sigma)
+
+
+# -- disconnected and co-disconnected graphs ------------------------------------
+
+def circulant(n: int, steps, directed: bool = False):
+    build = cayley.directed_cayley if directed else cayley.undirected_cayley
+    return build(groups.cyclic(n), ConnectionSet(n, steps))
+
+
+# connected components of one order and one degree that are not isomorphic
+UNEQUAL_COMPONENTS = [
+    (circulant(6, (1, 3, 5)), circulant(6, (2, 3, 4))),                       # K3,3, prism
+    (cayley.undirected_cayley(groups.parse_group_spec("Z2xZ2xZ2"), ConnectionSet(8, (1, 2, 4))),
+     circulant(8, (1, 4, 7))),                                                 # Q3, Moebius ladder
+    (circulant(7, (2, 3, 4, 5)), complement(disjoint_union(cycle_graph(3), cycle_graph(4)))),
+    (circulant(8, (1, 4, 7)),                                                  # two K4 - e, joined
+     SimpleGraph.from_edges(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (4, 5), (4, 6),
+                                (4, 7), (5, 6), (5, 7), (2, 6), (3, 7)])),
+    (circulant(4, (1, 2), directed=True), circulant(4, (1, 3), directed=True)),
+]
+
+
+def unreduced_verdict(graph):
+    """is_cayley's answer from the whole automorphism list, with no reduction."""
+    n = graph.order
+    if graph.is_complete() or not any(graph.rows):
+        return True, None   # the uniform fast path; K_n has n! automorphisms to list
+    auts = symmetry.automorphisms(graph, bound=n)
+    if len({p.images[0] for p in auts}) != n:
+        return False, NotCayleyReason.NOT_VERTEX_TRANSITIVE
+    if symmetry.find_regular_subgroup(auts, n) is None:
+        return False, NotCayleyReason.NO_REGULAR_SUBGROUP
+    return True, None
+
+
+@st.composite
+def copies(draw):
+    """t = 2-4 relabelled copies of one Cayley graph or digraph, shuffled, or the complement."""
+    t = draw(st.integers(2, 4))
+    base = draw(cayley_graphs(10 // t))
+    union = disjoint_union(*(relabel(base, draw(st.permutations(range(base.order))))
+                             for _ in range(t)))
+    if draw(st.booleans()):
+        union = complement(union)
+    return relabel(union, draw(st.permutations(range(union.order))))
+
+
+@st.composite
+def unequal_unions(draw):
+    """Two components from UNEQUAL_COMPONENTS in either order, shuffled, or the complement."""
+    parts = draw(st.sampled_from(UNEQUAL_COMPONENTS))
+    union = disjoint_union(*(parts if draw(st.booleans()) else reversed(parts)))
+    if draw(st.booleans()):
+        union = complement(union)
+    return relabel(union, draw(st.permutations(range(union.order))))
+
+
+def test_unequal_components_are_connected_and_not_isomorphic() -> None:
+    nx = pytest.importorskip("networkx")
+
+    def to_networkx(graph):
+        matrix = [[(row >> v) & 1 for v in range(graph.order)] for row in graph.rows]
+        return nx.from_numpy_array(np.array(matrix), create_using=nx.DiGraph if
+                                   isinstance(graph, Digraph) else nx.Graph)
+
+    for a, b in UNEQUAL_COMPONENTS:
+        g, h = to_networkx(a), to_networkx(b)
+        assert g.number_of_nodes() == h.number_of_nodes()
+        assert g.number_of_edges() == h.number_of_edges()
+        assert nx.is_weakly_connected(g) if g.is_directed() else nx.is_connected(g)
+        assert nx.is_weakly_connected(h) if h.is_directed() else nx.is_connected(h)
+        assert not nx.is_isomorphic(g, h)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.one_of(copies(), unequal_unions()))
+def test_disconnected_verdicts_match_the_unreduced_pipeline(graph) -> None:
+    verdict = symmetry.is_cayley(graph, bound=graph.order)
+    assert (bool(verdict), None if verdict else verdict.reason) == unreduced_verdict(graph)
+    if verdict:
+        assert verdict.reconstruct() == graph
 
 
 @pytest.mark.parametrize("sigma", [
