@@ -13,8 +13,19 @@ image tuples.  Their output order is lexicographic and deterministic.
 Each searches only for what its question needs.  The regular-subgroup
 search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
-Vertex-transitivity looks for one automorphism 0 -> v per target v and
-never lists the group.
+Vertex-transitivity looks for one automorphism 0 -> v per target v,
+skips the targets the automorphisms found so far already reach, and never
+lists the group.
+
+A disconnected graph is decided on one component.  The components of
+Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and
+t copies of Cay(K, S) form Cay(K x Z_t, S x {0}); so a graph whose
+components are copies of one component is Cayley exactly when that
+component is, and a graph with two non-isomorphic components is not even
+vertex-transitive.  A graph and its complement have the same automorphisms
+(and the complement of Cay(H, S) is Cay(H, H - S - {e})), and at least one
+of them is connected, so a connected graph with a disconnected complement
+is decided by its complement.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import numpy as np
 from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
 from .errors import SearchBoundExceeded
 from .graphs import Digraph, SimpleGraph, _from_matrix, _to_matrix
-from .groups import FiniteGroup, cyclic
+from .groups import FiniteGroup, cyclic, direct_product
 from .perms import Permutation
 
 # Full automorphism enumeration is exponential in the worst case; these
@@ -126,15 +137,33 @@ def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
     graph is regular); complete and edgeless graphs accept likewise.
     Otherwise the automorphism search runs once per target v, with 0
     pinned to v, and stops at the first automorphism it finds: the full
-    group is never listed.
+    group is never listed.  A target already in the orbit of 0 under the
+    automorphisms found so far (a union-find over their cycles) is skipped.
     """
     if not _degrees_constant(graph):
         return False
     if _uniform(graph):
         return True
-    if graph.order > bound:
-        raise SearchBoundExceeded(graph.order, bound)
-    return all(_search_automorphisms(graph.order, graph.rows, v) for v in range(1, graph.order))
+    n = graph.order
+    if n > bound:
+        raise SearchBoundExceeded(n, bound)
+    orbit = list(range(n))
+
+    def root(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = orbit[orbit[x]]
+            x = orbit[x]
+        return x
+
+    for v in range(1, n):
+        if root(v) == root(0):
+            continue
+        found = _search_automorphisms(n, graph.rows, v)
+        if not found:
+            return False
+        for x, y in enumerate(found[0]):
+            orbit[root(x)] = root(y)
+    return True
 
 
 def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] | None:
@@ -194,18 +223,32 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
        NotRegularDegree;
     2. complete/edgeless graphs accept immediately with a cyclic-group
        witness;
-    3. `automorphisms`, whose images of vertex 0 must cover every
+    3. a disconnected graph is decided on the component of vertex 0
+       (`_decide_on_one_component`); a connected graph whose complement
+       is disconnected is decided by its complement, and a witness keeps
+       the complement's group;
+    4. `automorphisms`, whose images of vertex 0 must cover every
        vertex, else NotVertexTransitive;
-    4. `find_regular_subgroup` on that list, else NoRegularSubgroup.
+    5. `find_regular_subgroup` on that list, else NoRegularSubgroup.
 
-    Only steps 3-4 are subject to `bound`; graphs of any order can still
-    be decided by the cheap paths.
+    Only the searches are subject to `bound`: none runs on a graph of more
+    than `bound` vertices, be it the whole graph, a component, or the
+    union of two components.  Graphs of any order can still be decided by
+    the cheap paths.
     """
     if not _degrees_constant(graph):
         return NotCayley(NotCayleyReason.NOT_REGULAR_DEGREE)
     if _uniform(graph):
         return _witness(graph, cyclic(graph.order))
     n = graph.order
+    components = _components(graph.rows)
+    if len(components) > 1:
+        return _decide_on_one_component(graph, components, bound)
+    full = (1 << n) - 1
+    complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
+    if len(_components(complement)) > 1:
+        verdict = is_cayley(type(graph)(complement), bound)
+        return _witness(graph, verdict.group) if verdict else verdict
     auts = automorphisms(graph, bound)
     if len({p.images[0] for p in auts}) != n:
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
@@ -214,6 +257,80 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     # sigma_g . sigma_h = sigma_{g*h} turns the image arrays into the table
     return _witness(graph, FiniteGroup([p.images for p in members]))
+
+
+# -- one component for the whole graph ----------------------------------------
+
+def _components(rows: Sequence[int]) -> list[int]:
+    """The weak components of a relation with constant in- and out-degrees.
+
+    Masks of vertices, ordered by their lowest vertex.  Constant in- and
+    out-degrees are equal (both sum to the arc count), and then no arc
+    enters the set of vertices reachable from v, so that set is v's weak
+    component: a search along the rows alone finds it.
+    """
+    components = []
+    left = (1 << len(rows)) - 1
+    while left:
+        seen = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rows[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        components.append(seen)
+        left &= ~seen
+    return components
+
+
+def _vertices(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _induced(rows: Sequence[int], vertices: list[int]) -> list[int]:
+    """Bit-rows of the subgraph on `vertices`, vertices[j] renamed j."""
+    return [sum(1 << j for j, u in enumerate(vertices) if (rows[v] >> u) & 1)
+            for v in vertices]
+
+
+def _decide_on_one_component(graph: Graph, components: list[int],
+                             bound: int) -> CayleyWitness | NotCayley:
+    """is_cayley of a graph with t > 1 components, from the one holding vertex 0.
+
+    Each other component C_i must be a copy of C_0: one targeted search on
+    the union of the two sends 0 to C_i's first vertex, and its restriction
+    to C_0 is an isomorphism phi_i.  Then the graph is Cayley exactly when
+    C_0 is; a witness group K of C_0 (element k is C_0's k-th vertex c_k)
+    lifts to K x Z_t, with (k, i) the vertex phi_i(c_k).
+    """
+    order = components[0].bit_count()
+    if any(c.bit_count() != order for c in components):
+        return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
+    if 2 * order > bound:
+        raise SearchBoundExceeded(2 * order, bound)
+    first = _vertices(components[0])
+    images = [first]                     # images[i][k] = phi_i(c_k)
+    for component in components[1:]:
+        union = first + _vertices(component)
+        found = _search_automorphisms(2 * order, _induced(graph.rows, union), order)
+        if not found:
+            return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
+        images.append([union[x] for x in found[0][:order]])
+    verdict = is_cayley(type(graph)(_induced(graph.rows, first)), bound)
+    if not verdict:
+        return verdict
+    t = len(components)
+    product = direct_product(verdict.group, cyclic(t))
+    vertex = np.array(images).T.reshape(-1)   # product element k * t + i is (k, i)
+    table = np.empty_like(product.table)
+    table[np.ix_(vertex, vertex)] = vertex[product.table]
+    return _witness(graph, FiniteGroup(table))
 
 
 # -- the search kernels -----------------------------------------------------

@@ -204,6 +204,29 @@ def test_is_cayley_witness_file(capsys, tmp_path: Path) -> None:
         assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == digest, argv
 
 
+# sha256 of witness files whose group is lifted from one component: 2C4 is
+# disconnected, K3,3 is co-disconnected (its complement is 2K3), and 3K2 with
+# edges 03, 14, 25 is disconnected.  The lifted group of 2C4 and of K3,3 has
+# the same table as the lex-first regular subgroup that the whole-graph search
+# found before; for this 3K2 that search found S3, the lifted group is Z2 x Z3.
+LIFTED_WITNESS_DIGESTS = [
+    ("Gl?GGS", "3474a8c444e6db6c5b48cbe82fbd13dfebf1814a265a04b615cbe01816717863"),
+    ("EFz_", "d884a2022fd0e4f47925b6fcfd5d2f1e416631f7df0b6df512e0b53a5fe5b782"),
+    ("ECO_", "c93eab37f6c4a2645585a0f27719527ea30f52e6b6d2220557f45b995406b868"),
+]
+
+
+@pytest.mark.parametrize("line, digest", LIFTED_WITNESS_DIGESTS,
+                         ids=[case[0] for case in LIFTED_WITNESS_DIGESTS])
+def test_lifted_witness_file(capsys, tmp_path: Path, line: str, digest: str) -> None:
+    infile = tmp_path / "in.g6"
+    infile.write_text(line + "\n", encoding="ascii")
+    witness_path = tmp_path / "witness.json"
+    code, _ = run(capsys, "is-cayley", "--in", str(infile), "--witness", str(witness_path))
+    assert code == 0
+    assert hashlib.sha256(witness_path.read_bytes()).hexdigest() == digest
+
+
 def test_witness_file_is_json_dumps_with_indent_2(capsys, tmp_path: Path) -> None:
     witness_path = tmp_path / "witness.json"
     code, _ = run(capsys, "is-cayley", "--group", "Z64", "--witness", str(witness_path))

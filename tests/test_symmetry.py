@@ -243,6 +243,41 @@ def test_edgeless_fast_path() -> None:
     assert witness.reconstruct() == SimpleGraph.edgeless(6)
 
 
+def disjoint_cliques(t: int, k: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(t * k, [(i * k + a, i * k + b) for i in range(t)
+                                          for a in range(k) for b in range(a + 1, k)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_disjoint_cliques_and_complements_are_decided_on_one_component(k) -> None:
+    # 7K2 took about 42 s with the whole-graph search; 8K2 did not finish
+    for t in range(2, 64 // k + 1):
+        for graph in (disjoint_cliques(t, k), complement(disjoint_cliques(t, k))):
+            witness = symmetry.is_cayley(graph)
+            assert witness
+            assert witness.group.order == t * k
+            assert witness.reconstruct() == graph
+
+
+def test_lifted_witness_group_is_the_component_group_times_z_t() -> None:
+    witness = symmetry.is_cayley(relabel(disjoint_cliques(3, 2), (0, 3, 1, 4, 2, 5)))
+    assert witness
+    assert witness.group.is_cyclic()      # Z2 x Z3; the whole-graph search found S3
+    assert witness.group.identity == 0
+
+
+def test_bound_applies_to_the_union_of_two_components() -> None:
+    with pytest.raises(SearchBoundExceeded) as raised:
+        symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)))
+    assert raised.value.order == 14
+    witness = symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)), bound=14)
+    assert witness
+    assert witness.reconstruct() == disjoint_union(cycle_graph(7), cycle_graph(7))
+    # components of two orders need no search at all
+    verdict = symmetry.is_cayley(disjoint_union(cycle_graph(13), cycle_graph(14)))
+    assert verdict.reason is NotCayleyReason.NOT_VERTEX_TRANSITIVE
+
+
 def test_is_cayley_bound() -> None:
     with pytest.raises(SearchBoundExceeded):
         symmetry.is_cayley(cycle_graph(13))
@@ -347,6 +382,29 @@ def test_automorphism_search_matches_brute_force(graph) -> None:
     for v in range(graph.order):
         first = [p for p in expected if p[0] == v][:1]
         assert symmetry._search_automorphisms(graph.order, graph.rows, v) == first
+
+
+def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
+    graph = circulant(64, (1, 5, 9, 55, 59, 63))
+    searches = []
+    search = symmetry._search_automorphisms
+
+    def counting(*args):
+        searches.append(args[2])
+        return search(*args)
+
+    monkeypatch.setattr(symmetry, "_search_automorphisms", counting)
+    assert symmetry.is_vertex_transitive(graph, bound=64)
+    # the reflections x -> 1 - x and x -> 2 - x, found for targets 1 and 2,
+    # generate every rotation, so 61 searches are skipped
+    assert len(searches) == 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(random_graphs(6))
+def test_vertex_transitivity_matches_brute_force(graph) -> None:
+    images_of_0 = {p[0] for p in brute_force_automorphisms(graph)}
+    assert symmetry.is_vertex_transitive(graph) == (len(images_of_0) == graph.order)
 
 
 def assert_relabelling_invariant(graph, sigma) -> None:
