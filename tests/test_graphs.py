@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,7 +201,6 @@ def loop_free_rows(draw) -> list[int]:
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(loop_free_rows())
 def test_graph6_matches_networkx_and_round_trips(rows) -> None:
-    nx = pytest.importorskip("networkx")
     graph = Digraph(rows).underlying_undirected()
     reference = nx.Graph()
     reference.add_nodes_from(range(graph.order))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -495,8 +496,6 @@ def unequal_unions(draw):
 
 
 def test_unequal_components_are_connected_and_not_isomorphic() -> None:
-    nx = pytest.importorskip("networkx")
-
     def to_networkx(graph):
         matrix = [[(row >> v) & 1 for v in range(graph.order)] for row in graph.rows]
         return nx.from_numpy_array(np.array(matrix), create_using=nx.DiGraph if
