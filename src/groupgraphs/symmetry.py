@@ -10,6 +10,9 @@ public stages: `automorphisms` and `find_regular_subgroup` on that list.
 Both searches live here, in pure Python: automorphism enumeration over
 packed bit-rows of the arc relation, and regular-subgroup search over
 image tuples.  Their output order is lexicographic and deterministic.
+The automorphism search forward-checks: each image it fixes narrows the
+candidates of every later vertex, and a branch that leaves one with none
+is cut.  No leaf lies below such a branch, so cutting it loses nothing.
 Each searches only for what its question needs.  The regular-subgroup
 search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
@@ -126,7 +129,7 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     """
     if graph.order > bound:
         raise SearchBoundExceeded(graph.order, bound)
-    # each leaf of the search is a bijection: its `used` mask forbids repeats
+    # each leaf of the search is a bijection: its `free` mask forbids repeats
     return [Permutation._unchecked(p) for p in _search_automorphisms(graph.order, graph.rows)]
 
 
@@ -340,11 +343,12 @@ def _search_automorphisms(
 ) -> list[tuple[int, ...]]:
     """All permutations preserving the relation, in lexicographic order.
 
-    Backtracks over a degree-partition: vertex u may map only to vertices
-    with the same (out-degree, in-degree) pair.  At level k, `used` is the
-    image set of 0..k-1, so v is a valid image of k iff rows[v] & used and
-    cols[v] & used are the images of k's earlier out- and in-neighbours:
-    two whole-row comparisons per candidate.
+    Backtracks with one candidate mask per vertex, first its class of the
+    degree partition (same out- and in-degree).  Trying k -> v narrows the
+    mask of each later vertex u to the unused vertices whose arcs to and
+    from v match u's arcs to and from k, so any v in cand[k] fits every
+    earlier image.  A branch that empties a mask has no leaf below it and
+    is never entered: the list and its order are the plain backtrack's.
     With a `target`, vertex 0 may map only to it and the search stops at
     the first leaf: the result is one automorphism 0 -> target, or none.
     """
@@ -353,41 +357,37 @@ def _search_automorphisms(
     classes: dict[tuple[int, int], int] = {}
     for v, key in enumerate(keys):
         classes[key] = classes.get(key, 0) | 1 << v
-    cand = [classes[key] for key in keys]
+    start = [classes[key] for key in keys]
     if target is not None:
-        cand[0] &= 1 << target
+        start[0] &= 1 << target
     stop = target is not None
+    # later[k]: (u, 2 * [u -> k] + [k -> u]) for every u > k
+    later = [[(u, 2 * (rows[u] >> k & 1) + (rows[k] >> u & 1)) for u in range(k + 1, n)]
+             for k in range(n)]
 
     img = [0] * n
     found: list[tuple[int, ...]] = []
 
-    def image(mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << img[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def extend(k: int, used: int) -> bool:
+    def extend(k: int, cand: list[int], free: int) -> bool:
         if k == n:
             found.append(tuple(img))
             return stop
-        earlier = (1 << k) - 1
-        out_image = image(rows[k] & earlier)
-        in_image = image(cols[k] & earlier)
-        avail = cand[k] & ~used
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            v = low.bit_length() - 1
-            if rows[v] & used == out_image and cols[v] & used == in_image:
+        for v in _vertices(cand[k]):
+            rest, into, out = free ^ 1 << v, cols[v], rows[v]
+            # keep[code]: the free w with 2 * [w -> v] + [v -> w] == code
+            keep = (rest & ~(into | out), rest & out & ~into, rest & into & ~out, rest & into & out)
+            narrowed = cand[:]
+            for u, code in later[k]:
+                m = narrowed[u] = cand[u] & keep[code]
+                if not m:
+                    break
+            else:
                 img[k] = v
-                if extend(k + 1, used | low):
+                if extend(k + 1, narrowed, rest):
                     return True
         return False
 
-    extend(0, 0)
+    extend(0, start, (1 << n) - 1)
     return found
 
 
