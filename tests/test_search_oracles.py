@@ -146,3 +146,31 @@ def test_automorphisms_match_networkx_and_sympy(graph) -> None:
     for v in range(n):
         first = [p for p in images if p[0] == v][:1]
         assert symmetry._search_automorphisms(n, graph.rows, v) == first
+
+
+# -- generalized Petersen graphs ---------------------------------------------------
+
+def generalized_petersen(n: int, k: int) -> SimpleGraph:
+    """GP(n, k): outer cycle u_i ~ u_{i+1}, spokes u_i ~ v_i, inner v_i ~ v_{i+k}."""
+    return SimpleGraph.from_edges(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                                  + [(i, n + i) for i in range(n)]
+                                  + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+# Frucht, Graver & Watkins (1971): |Aut GP(n, k)| is 4n if k^2 = +-1 (mod n) and
+# 2n otherwise, but for these pairs in reach; GP(n, k) is vertex-transitive iff
+# k^2 = +-1 (mod n) or (n, k) = (10, 2).  Nedela & Skoviera (1995): it is a Cayley
+# graph iff k^2 = 1 (mod n).
+EXCEPTIONAL_GROUP_ORDERS = {(8, 3): 96, (10, 2): 120, (10, 3): 240, (12, 5): 144}
+PETERSEN_PAIRS = [(n, k) for n in range(7, 14) for k in range(1, (n + 1) // 2)] + [(20, 3)]
+
+
+@pytest.mark.parametrize("n, k", PETERSEN_PAIRS, ids=[f"GP({n},{k})" for n, k in PETERSEN_PAIRS])
+def test_generalized_petersen_graphs_follow_the_classification(n, k) -> None:
+    graph = generalized_petersen(n, k)
+    square = k * k % n
+    rotary = square in (1, n - 1)
+    order = len(symmetry.automorphisms(graph, bound=40))
+    assert order == EXCEPTIONAL_GROUP_ORDERS.get((n, k), 4 * n if rotary else 2 * n)
+    assert symmetry.is_vertex_transitive(graph, bound=40) == (rotary or (n, k) == (10, 2))
+    assert bool(symmetry.is_cayley(graph, bound=40)) == (square == 1)
