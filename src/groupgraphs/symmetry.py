@@ -239,10 +239,16 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     union of two components.  Graphs of any order can still be decided by
     the cheap paths.
     """
+    verdict = _decide(graph, bound)
+    return verdict if isinstance(verdict, NotCayley) else _witness(graph, verdict)
+
+
+def _decide(graph: Graph, bound: int) -> FiniteGroup | NotCayley:
+    """is_cayley's verdict: a group whose element v is vertex v, or the reason."""
     if not _degrees_constant(graph):
         return NotCayley(NotCayleyReason.NOT_REGULAR_DEGREE)
     if _uniform(graph):
-        return _witness(graph, cyclic(graph.order))
+        return cyclic(graph.order)
     n = graph.order
     components = _components(graph.rows)
     if len(components) > 1:
@@ -250,8 +256,7 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     full = (1 << n) - 1
     complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
     if len(_components(complement)) > 1:
-        verdict = is_cayley(type(graph)(complement), bound)
-        return _witness(graph, verdict.group) if verdict else verdict
+        return _decide(type(graph)(complement), bound)
     auts = automorphisms(graph, bound)
     if len({p.images[0] for p in auts}) != n:
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
@@ -259,7 +264,7 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if members is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     # sigma_g . sigma_h = sigma_{g*h} turns the image arrays into the table
-    return _witness(graph, FiniteGroup([p.images for p in members]))
+    return FiniteGroup([p.images for p in members])
 
 
 # -- one component for the whole graph ----------------------------------------
@@ -303,8 +308,8 @@ def _induced(rows: Sequence[int], vertices: list[int]) -> list[int]:
 
 
 def _decide_on_one_component(graph: Graph, components: list[int],
-                             bound: int) -> CayleyWitness | NotCayley:
-    """is_cayley of a graph with t > 1 components, from the one holding vertex 0.
+                             bound: int) -> FiniteGroup | NotCayley:
+    """_decide on a graph with t > 1 components, from the one holding vertex 0.
 
     Each other component C_i must be a copy of C_0: one targeted search on
     the union of the two sends 0 to C_i's first vertex, and its restriction
@@ -325,15 +330,15 @@ def _decide_on_one_component(graph: Graph, components: list[int],
         if not found:
             return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
         images.append([union[x] for x in found[0][:order]])
-    verdict = is_cayley(type(graph)(_induced(graph.rows, first)), bound)
-    if not verdict:
+    verdict = _decide(type(graph)(_induced(graph.rows, first)), bound)
+    if isinstance(verdict, NotCayley):
         return verdict
     t = len(components)
-    product = direct_product(verdict.group, cyclic(t))
+    product = direct_product(verdict, cyclic(t))
     vertex = np.array(images).T.reshape(-1)   # product element k * t + i is (k, i)
     table = np.empty_like(product.table)
     table[np.ix_(vertex, vertex)] = vertex[product.table]
-    return _witness(graph, FiniteGroup(table))
+    return FiniteGroup(table)
 
 
 # -- the search kernels -----------------------------------------------------

@@ -271,6 +271,21 @@ def test_lifted_witness_group_is_the_component_group_times_z_t() -> None:
     assert witness.group.identity == 0
 
 
+@pytest.mark.parametrize("graph", [complement(disjoint_cliques(4, 2)), disjoint_cliques(3, 3)],
+                         ids=["co-4K2", "3K3"])
+def test_witness_is_built_once_per_decision(graph, monkeypatch) -> None:
+    built = []
+    witness = symmetry._witness
+
+    def counting(*args):
+        built.append(args[1].order)
+        return witness(*args)
+
+    monkeypatch.setattr(symmetry, "_witness", counting)
+    assert symmetry.is_cayley(graph).reconstruct() == graph
+    assert built == [graph.order]
+
+
 def test_bound_applies_to_the_union_of_two_components() -> None:
     with pytest.raises(SearchBoundExceeded) as raised:
         symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)))
