@@ -129,7 +129,7 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     """
     if graph.order > bound:
         raise SearchBoundExceeded(graph.order, bound)
-    # each leaf of the search is a bijection: its `free` mask forbids repeats
+    # each leaf of the search is a bijection: an image leaves every later mask
     return [Permutation._unchecked(p) for p in _search_automorphisms(graph.order, graph.rows)]
 
 
@@ -369,30 +369,30 @@ def _search_automorphisms(
     # later[k]: (u, 2 * [u -> k] + [k -> u]) for every u > k
     later = [[(u, 2 * (rows[u] >> k & 1) + (rows[k] >> u & 1)) for u in range(k + 1, n)]
              for k in range(n)]
+    # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
+    keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r) for v, (r, c) in enumerate(zip(rows, cols))]
 
     img = [0] * n
     found: list[tuple[int, ...]] = []
 
-    def extend(k: int, cand: list[int], free: int) -> bool:
+    def extend(k: int, cand: list[int]) -> bool:
         if k == n:
             found.append(tuple(img))
             return stop
         for v in _vertices(cand[k]):
-            rest, into, out = free ^ 1 << v, cols[v], rows[v]
-            # keep[code]: the free w with 2 * [w -> v] + [v -> w] == code
-            keep = (rest & ~(into | out), rest & out & ~into, rest & into & ~out, rest & into & out)
+            fits = keep[v]
             narrowed = cand[:]
             for u, code in later[k]:
-                m = narrowed[u] = cand[u] & keep[code]
+                m = narrowed[u] = cand[u] & fits[code]
                 if not m:
                     break
             else:
                 img[k] = v
-                if extend(k + 1, narrowed, rest):
+                if extend(k + 1, narrowed):
                     return True
         return False
 
-    extend(0, start, (1 << n) - 1)
+    extend(0, start)
     return found
 
 
