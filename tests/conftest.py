@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from itertools import permutations
 
+import networkx as nx
 import pytest
 
 from groupgraphs.catalog import catalog
@@ -57,6 +58,15 @@ def complement(graph):
     n = graph.order
     return type(graph).from_matrix(
         [[int(u != v and not (graph.rows[u] >> v) & 1) for v in range(n)] for u in range(n)])
+
+
+def to_networkx(graph):
+    """The same graph as a networkx Graph, or DiGraph for a Digraph."""
+    reference = nx.DiGraph() if isinstance(graph, Digraph) else nx.Graph()
+    reference.add_nodes_from(range(graph.order))
+    reference.add_edges_from((u, v) for u, row in enumerate(graph.rows)
+                             for v in range(graph.order) if (row >> v) & 1)
+    return reference
 
 
 def brute_force_automorphisms(graph: SimpleGraph | Digraph) -> list[tuple[int, ...]]:

@@ -23,15 +23,7 @@ from groupgraphs import cayley, symmetry
 from groupgraphs.catalog import catalog
 from groupgraphs.cayley import ConnectionSet
 from groupgraphs.graphs import Digraph, SimpleGraph
-from tests.conftest import petersen_graph, relabel
-
-
-def to_networkx(graph):
-    reference = nx.DiGraph() if isinstance(graph, Digraph) else nx.Graph()
-    reference.add_nodes_from(range(graph.order))
-    reference.add_edges_from((u, v) for u, row in enumerate(graph.rows)
-                             for v in range(graph.order) if (row >> v) & 1)
-    return reference
+from tests.conftest import petersen_graph, relabel, to_networkx
 
 
 def matcher_automorphisms(graph) -> list[tuple[int, ...]]:
@@ -108,6 +100,13 @@ def hypercube(d: int) -> SimpleGraph:
                                       if not u >> i & 1])
 
 
+def named_graphs() -> dict[str, SimpleGraph]:
+    return {"Petersen": petersen_graph(),
+            "Frucht": SimpleGraph.from_edges(12, nx.frucht_graph().edges()),
+            "Tietze": tietze_graph(),
+            "Q4": hypercube(4)}
+
+
 def oracle_cases():
     rng = random.Random(16)
     cases = []
@@ -116,14 +115,8 @@ def oracle_cases():
             for directed in (False, True):
                 cases.append((f"{group.name}{' directed' if directed else ''}",
                                random_cayley_graph(group, directed, rng)))
-    cases += [("Petersen", petersen_graph()),
-              ("Frucht", nx.frucht_graph()),
-              ("Tietze", tietze_graph()),
-              ("Q4", hypercube(4))]
     relabelled = []
-    for name, graph in cases:
-        if isinstance(graph, nx.Graph):
-            graph = SimpleGraph.from_edges(graph.number_of_nodes(), graph.edges())
+    for name, graph in cases + list(named_graphs().items()):
         sigma = list(range(graph.order))
         rng.shuffle(sigma)
         relabelled.append(pytest.param(relabel(graph, sigma), id=name))
@@ -131,8 +124,8 @@ def oracle_cases():
 
 
 def test_named_graphs_have_their_known_group_orders() -> None:
-    orders = {case.id: len(symmetry.automorphisms(case.values[0])) for case in oracle_cases()}
-    assert (orders["Petersen"], orders["Frucht"], orders["Tietze"], orders["Q4"]) == (120, 1, 12, 384)
+    orders = {name: len(symmetry.automorphisms(graph)) for name, graph in named_graphs().items()}
+    assert orders == {"Petersen": 120, "Frucht": 1, "Tietze": 12, "Q4": 384}
 
 
 @pytest.mark.parametrize("graph", oracle_cases())

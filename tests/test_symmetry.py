@@ -5,7 +5,6 @@ from __future__ import annotations
 from itertools import combinations
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,6 +23,7 @@ from tests.conftest import (
     disjoint_union,
     petersen_graph,
     relabel,
+    to_networkx,
     unfiltered_regular_subgroup,
 )
 
@@ -511,11 +511,6 @@ def unequal_unions(draw):
 
 
 def test_unequal_components_are_connected_and_not_isomorphic() -> None:
-    def to_networkx(graph):
-        matrix = [[(row >> v) & 1 for v in range(graph.order)] for row in graph.rows]
-        return nx.from_numpy_array(np.array(matrix), create_using=nx.DiGraph if
-                                   isinstance(graph, Digraph) else nx.Graph)
-
     for a, b in UNEQUAL_COMPONENTS:
         g, h = to_networkx(a), to_networkx(b)
         assert g.number_of_nodes() == h.number_of_nodes()
