@@ -438,14 +438,18 @@ def _is_even(p: Sequence[int]) -> bool:
     return inversions % 2 == 0
 
 
+def _product_table(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The direct product of two group tables, pair (i, j) indexed as i*|H| + j."""
+    n, nh = len(g) * len(h), len(h)
+    dtype = _index_dtype(n)
+    g, h = g.astype(dtype, copy=False), h.astype(dtype, copy=False)
+    return (g[:, None, :, None] * nh + h[None, :, None, :]).reshape(n, n)
+
+
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """The direct product, pair (i, j) indexed as i*|H| + j."""
+    table = _product_table(g.table, h.table)
     nh = h.order
-    dtype = _index_dtype(g.order * nh)
-    gt, ht = g.table.astype(dtype, copy=False), h.table.astype(dtype, copy=False)
-    table = (gt[:, None, :, None] * nh + ht[None, :, None, :]).reshape(
-        g.order * nh, g.order * nh
-    )
     gname = g.name or "G"
     hname = h.name or "H"
     names = [f"({g.element_names[i]},{h.element_names[j]})"

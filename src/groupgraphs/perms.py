@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 
@@ -11,14 +12,21 @@ class Permutation:
     ``p * q`` composes left-to-right through function application:
     ``(p * q)(v) == p(q(v))``.
 
-    Outside input is checked here; permutations the package derives
+    Outside input is checked here and stored as plain ints, so numpy
+    integers come out JSON-writable; permutations the package derives
     (products, search results, group table rows) skip it via ``_unchecked``.
     """
 
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(images)
+        given = tuple(images)
+        try:
+            if any(isinstance(x, bool) for x in given):    # operator.index takes bools
+                raise TypeError
+            images = tuple(map(operator.index, given))
+        except TypeError:
+            raise ValueError(f"permutation images are not integers: {given!r}") from None
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images

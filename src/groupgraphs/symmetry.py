@@ -4,8 +4,9 @@ A graph is a Cayley graph of some group exactly when its automorphism
 group contains a regular subgroup: one acting transitively with only the
 identity fixing a vertex (Sabidussi, 1958).  Recognition therefore runs
 cheap necessary conditions first (every Cayley graph is vertex-transitive,
-every vertex-transitive graph has constant degrees) and only then the
-public stages: `automorphisms` and `find_regular_subgroup` on that list.
+every vertex-transitive graph has constant degrees) and only then the two
+searches, on image tuples; the members of the regular subgroup found are the
+rows of the witness group's table, whose construction checks them once.
 
 Both searches live here, in pure Python: automorphism enumeration over
 packed bit-rows of the arc relation, and regular-subgroup search over
@@ -43,7 +44,7 @@ import numpy as np
 from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
 from .errors import SearchBoundExceeded
 from .graphs import Digraph, SimpleGraph, _from_matrix, _to_matrix
-from .groups import FiniteGroup, cyclic, direct_product
+from .groups import FiniteGroup, _product_table, _sum_table, cyclic
 from .perms import Permutation
 
 # Full automorphism enumeration is exponential in the worst case; these
@@ -178,31 +179,38 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     returned ordered by their image of 0.  Only semiregular candidates
     are tried: every non-identity member of a regular group fixes no
     vertex and has cycles of one length, so dropping the others never
-    changes the result.  The result is checked against the full list.
+    changes the result.  Every permutation must have degree n.  The members
+    are checked as in is_cayley, then against the list (it may not be closed).
     """
+    degrees = {p.degree for p in auts} - {n}
+    if degrees:
+        raise ValueError(f"permutations of degree {min(degrees)} given with n = {n}")
     images = sorted(p.images for p in auts)
-    members = _search_regular_subgroup(n, images)
-    if members is None:
+    group = _regular_group(n, images)
+    if group is None:
         return None
-    _check_regular(members, set(images), n)
+    members = [tuple(row) for row in group.table.tolist()]
+    if not set(members) <= set(images):
+        raise ValueError("kernel returned a permutation outside the input list; "
+                         "was the automorphism list closed under composition?")
     return [Permutation._unchecked(p) for p in members]
 
 
-def _check_regular(members: list[tuple[int, ...]], aut_images: set, n: int) -> None:
-    # guards against a non-closed input list being handed to the kernel
-    if len(members) != n:
-        raise ValueError("regular subgroup candidate has wrong size")
-    for i, p in enumerate(members):
-        if p not in aut_images:
-            raise ValueError("kernel returned a permutation outside the input list; "
-                             "was the automorphism list closed under composition?")
-        if p[0] != i:
-            raise ValueError("regular subgroup candidate misses a vertex")
-    # members[i] sends 0 to i, so the set is closed iff members[i] * members[j]
-    # is members[i][j]: the table T is associative, T[i, T[j, v]] == T[T[i, j], v]
-    t = np.array(members)
-    if not np.array_equal(t[:, t], t[t]):
-        raise ValueError("regular subgroup candidate is not closed")
+def _regular_group(n: int, images: Sequence[tuple[int, ...]]) -> FiniteGroup | None:
+    """The regular subgroup the kernel selects from lex-ordered `images`, or None.
+
+    Member v is row v of the table.  Identity 0 says it sends 0 to v, and then
+    the members are closed iff the table is associative, T[i, T[j, v]] ==
+    T[T[i, j], v]; construction defers that check above order 128.
+    """
+    members = _search_regular_subgroup(n, images)
+    if members is None:
+        return None
+    group = FiniteGroup(members)
+    group.check_associativity()
+    if group.identity != 0:
+        raise ValueError("member v of a regular subgroup must send 0 to v")
+    return group
 
 
 def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
@@ -230,9 +238,9 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
        (`_decide_on_one_component`); a connected graph whose complement
        is disconnected is decided by its complement, and a witness keeps
        the complement's group;
-    4. `automorphisms`, whose images of vertex 0 must cover every
-       vertex, else NotVertexTransitive;
-    5. `find_regular_subgroup` on that list, else NoRegularSubgroup.
+    4. the automorphism search, whose images of vertex 0 must cover
+       every vertex, else NotVertexTransitive;
+    5. a regular subgroup of that list (`_regular_group`), else NoRegularSubgroup.
 
     Only the searches are subject to `bound`: none runs on a graph of more
     than `bound` vertices, be it the whole graph, a component, or the
@@ -257,14 +265,13 @@ def _decide(graph: Graph, bound: int) -> FiniteGroup | NotCayley:
     complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
     if len(_components(complement)) > 1:
         return _decide(type(graph)(complement), bound)
-    auts = automorphisms(graph, bound)
-    if len({p.images[0] for p in auts}) != n:
+    if n > bound:
+        raise SearchBoundExceeded(n, bound)
+    images = _search_automorphisms(n, graph.rows)
+    if len({p[0] for p in images}) != n:
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    members = find_regular_subgroup(auts, n)
-    if members is None:
-        return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
-    # sigma_g . sigma_h = sigma_{g*h} turns the image arrays into the table
-    return FiniteGroup([p.images for p in members])
+    group = _regular_group(n, images)
+    return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP) if group is None else group
 
 
 # -- one component for the whole graph ----------------------------------------
@@ -333,11 +340,11 @@ def _decide_on_one_component(graph: Graph, components: list[int],
     verdict = _decide(type(graph)(_induced(graph.rows, first)), bound)
     if isinstance(verdict, NotCayley):
         return verdict
-    t = len(components)
-    product = direct_product(verdict, cyclic(t))
-    vertex = np.array(images).T.reshape(-1)   # product element k * t + i is (k, i)
-    table = np.empty_like(product.table)
-    table[np.ix_(vertex, vertex)] = vertex[product.table]
+    # K x Z_t, element k * t + i is (k, i): relabelled, then built and checked once
+    product = _product_table(verdict.table, _sum_table(len(components)))
+    vertex = np.array(images).T.reshape(-1)
+    table = np.empty_like(product)
+    table[np.ix_(vertex, vertex)] = vertex[product]
     return FiniteGroup(table)
 
 
@@ -396,10 +403,6 @@ def _search_automorphisms(
     return found
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([p[x] for x in q])
-
-
 def _semiregular(p: tuple[int, ...]) -> bool:
     """True iff p fixes no vertex and all its cycles have one length."""
     seen = [False] * len(p)
@@ -454,7 +457,7 @@ def _search_regular_subgroup(
         known = len(queue)
         for i, q in enumerate(queue):
             for g in gens[-1:] if i < known else gens:
-                t = _compose(q, g)
+                t = tuple([q[x] for x in g])
                 existing = sel[t[0]]
                 if existing is None:
                     sel[t[0]] = t
@@ -468,9 +471,7 @@ def _search_regular_subgroup(
         if None not in sel:
             return sel
         v = sel.index(None)
-        for p in cand[v]:
-            if not semiregular(p):
-                continue
+        for p in filter(semiregular, cand[v]):
             nxt = generate(sel, gens + [p])
             if nxt is not None:
                 result = extend(gens + [p], nxt)
@@ -478,6 +479,4 @@ def _search_regular_subgroup(
                     return result
         return None
 
-    start: list[tuple[int, ...] | None] = [None] * n
-    start[0] = identity
-    return extend([], start)
+    return extend([], [identity] + [None] * (n - 1))

@@ -13,6 +13,7 @@ import cmath
 from itertools import permutations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from groupgraphs.catalog import catalog
@@ -194,6 +195,22 @@ def check_group_axioms(table: list[list[int]]) -> None:
         for b in range(n):
             for c in range(n):
                 assert table[table[a][b]][c] == table[a][table[b][c]]
+
+
+# A 5x5 Latin square with identity 0 that is not a group table.
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def loop130() -> np.ndarray:
+    """LOOP5 x Z26, pair (i, j) indexed as 26*i + j: a loop of order 130."""
+    z = np.add.outer(np.arange(26), np.arange(26)) % 26
+    return (np.array(LOOP5)[:, None, :, None] * 26 + z[None, :, None, :]).reshape(130, 130)
 
 
 def associativity_violations(table: list[list[int]]) -> set[tuple[int, int, int]]:

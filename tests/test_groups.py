@@ -23,10 +23,12 @@ from groupgraphs.errors import (
 )
 from groupgraphs.groups import parse_group_spec
 from tests.conftest import (
+    LOOP5,
     associativity_violations,
     check_group_axioms,
     dicyclic_oracle,
     dihedral_oracle,
+    loop130,
     permutation_oracle,
 )
 
@@ -102,16 +104,6 @@ def test_from_table_s3_composition() -> None:
     assert group.identity == index[(0, 1, 2)]
 
 
-# A 5x5 Latin square with identity 0 that is not a group table.
-LOOP5 = [
-    [0, 1, 2, 3, 4],
-    [1, 0, 3, 4, 2],
-    [2, 4, 0, 1, 3],
-    [3, 2, 4, 0, 1],
-    [4, 3, 1, 2, 0],
-]
-
-
 def test_from_table_rejects_non_associative_latin_square() -> None:
     table = LOOP5
     with pytest.raises(NotAssociative) as info:
@@ -121,10 +113,9 @@ def test_from_table_rejects_non_associative_latin_square() -> None:
 
 
 def test_deferred_check_rejects_order_130_loop() -> None:
-    # LOOP5 x Z26, pair (i, j) indexed as 26*i + j: a loop of order 130, so
-    # construction defers the check and Light's test runs on generators
-    loop, z = np.array(LOOP5), groups.cyclic(26).table
-    table = (loop[:, None, :, None] * 26 + z[None, :, None, :]).reshape(130, 130)
+    # a loop of order 130, so construction defers the check and Light's
+    # test runs on generators
+    table = loop130()
     group = groups.from_table(table)
     assert group.order > groups.EAGER_ASSOCIATIVITY_BOUND
     with pytest.raises(NotAssociative) as info:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
 from groupgraphs.perms import Permutation
@@ -11,6 +14,20 @@ from groupgraphs.perms import Permutation
 def test_outside_images_that_are_not_a_permutation_raise(images) -> None:
     with pytest.raises(ValueError):
         Permutation(images)
+
+
+@pytest.mark.parametrize("images", [[0.0, 1.0], [True, False], ["0", "1"], [0, None]])
+def test_outside_images_that_are_not_integers_raise(images) -> None:
+    with pytest.raises(ValueError, match="not integers"):
+        Permutation(images)
+
+
+def test_outside_images_are_stored_as_plain_ints() -> None:
+    p = Permutation(np.array([2, 0, 1]))
+    assert type(p.images) is tuple
+    assert all(type(x) is int for x in p.images)
+    assert json.dumps(p.images) == "[2, 0, 1]"
+    assert p == Permutation((2, 0, 1))
 
 
 def test_derived_permutations_equal_checked_ones() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import networkx as nx
@@ -13,7 +14,7 @@ import groupgraphs
 from groupgraphs import cayley, groups, powergraph, symmetry
 from groupgraphs.catalog import catalog
 from groupgraphs.cayley import ConnectionSet
-from groupgraphs.errors import SearchBoundExceeded
+from groupgraphs.errors import GroupGraphsError, SearchBoundExceeded
 from groupgraphs.graphs import Digraph, SimpleGraph
 from groupgraphs.perms import Permutation
 from groupgraphs.symmetry import NotCayleyReason
@@ -21,6 +22,7 @@ from tests.conftest import (
     brute_force_automorphisms,
     complement,
     disjoint_union,
+    loop130,
     petersen_graph,
     relabel,
     to_networkx,
@@ -209,16 +211,40 @@ def test_find_regular_subgroup_rejects_a_list_that_is_not_closed() -> None:
         symmetry.find_regular_subgroup(partial, 4)
 
 
-def test_check_regular_rejects_each_defect() -> None:
-    rotations = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    with pytest.raises(ValueError, match="wrong size"):
-        symmetry._check_regular(rotations[:2], set(rotations), 3)
-    with pytest.raises(ValueError, match="misses a vertex"):
-        symmetry._check_regular(rotations[::-1], set(rotations), 3)
-    not_closed = [(0, 1, 2), (1, 2, 0), (2, 1, 0)]
-    with pytest.raises(ValueError, match="not closed"):
-        symmetry._check_regular(not_closed, set(not_closed), 3)
-    symmetry._check_regular(rotations, set(rotations), 3)
+def test_find_regular_subgroup_rejects_a_degree_other_than_n() -> None:
+    auts = symmetry.automorphisms(cycle_graph(5))
+    for n in (3, 7):
+        with pytest.raises(ValueError, match=f"degree 5 .* n = {n}"):
+            symmetry.find_regular_subgroup(auts, n)
+    with pytest.raises(ValueError, match="degree 2 .* n = 5"):
+        symmetry.find_regular_subgroup(auts + [Permutation([1, 0])], 5)
+
+
+def directed_cycle(n: int) -> Digraph:
+    return Digraph.from_arcs(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+@pytest.mark.parametrize("n", [3, 130])
+def test_each_defect_of_the_kernels_selection_is_caught(n, monkeypatch) -> None:
+    rotations = [tuple((v + k) % n for v in range(n)) for k in range(n)]
+    defects = {
+        "too few members": rotations[:-1],
+        # a group again, with identity 1: only the image-of-0 order is wrong
+        "out of image-of-0 order": rotations[-1:] + rotations[:-1],
+        # the rows of a loop (identity 0, Latin): at order 130 construction
+        # defers associativity, so only the explicit check can catch them
+        "not closed": ([(0, 1, 2), (1, 2, 0), (2, 1, 0)] if n == 3
+                       else [tuple(row) for row in loop130().tolist()]),
+    }
+    graph = directed_cycle(n)
+    for defect, members in defects.items():
+        monkeypatch.setattr(symmetry, "_search_regular_subgroup", lambda *_: members)
+        with pytest.raises((ValueError, GroupGraphsError)):
+            symmetry.find_regular_subgroup([Permutation(p) for p in members], n)
+        with pytest.raises((ValueError, GroupGraphsError)):
+            symmetry.is_cayley(graph, bound=n)
+    monkeypatch.setattr(symmetry, "_search_regular_subgroup", lambda *_: rotations)
+    assert symmetry.is_cayley(graph, bound=n).reconstruct() == graph
 
 
 def test_perfect_matching_in_natural_labelling_is_cayley() -> None:
@@ -284,6 +310,49 @@ def test_witness_is_built_once_per_decision(graph, monkeypatch) -> None:
     monkeypatch.setattr(symmetry, "_witness", counting)
     assert symmetry.is_cayley(graph).reconstruct() == graph
     assert built == [graph.order]
+
+
+def test_lifted_witness_groups_of_disjoint_cliques_are_pinned() -> None:
+    # sha256 over the witness group tables (little-endian int64) of the
+    # inputs of the test above, in its order; recorded while the lift still
+    # built cyclic(t) and the product group
+    digest = hashlib.sha256()
+    for k in (2, 3, 4):
+        for t in range(2, 64 // k + 1):
+            for graph in (disjoint_cliques(t, k), complement(disjoint_cliques(t, k))):
+                digest.update(symmetry.is_cayley(graph).group.table.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "583085db14f8a8401848f551e2d6904020d7c3b62f5e1fbc34e553c5639d1dbb")
+
+
+@pytest.mark.parametrize("graph, groups_built, perms_built", [
+    (disjoint_cliques(3, 3), 2, 9),      # K3's cyclic group and the lift
+    (cycle_graph(5), 1, 5),              # the witness group and its translations
+    (petersen_graph(), 0, 0),
+], ids=["3K3", "C5", "Petersen"])
+def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
+                                               monkeypatch) -> None:
+    built = {"groups": 0, "perms": 0}
+    group_init, perm_init, unchecked = (groups.FiniteGroup.__init__, Permutation.__init__,
+                                        Permutation._unchecked)
+
+    def counting_group_init(self, *args, **kwargs):
+        built["groups"] += 1
+        group_init(self, *args, **kwargs)
+
+    def counting_perm_init(self, images):
+        built["perms"] += 1
+        perm_init(self, images)
+
+    def counting_unchecked(cls, images):
+        built["perms"] += 1
+        return unchecked(images)
+
+    monkeypatch.setattr(groups.FiniteGroup, "__init__", counting_group_init)
+    monkeypatch.setattr(Permutation, "__init__", counting_perm_init)
+    monkeypatch.setattr(Permutation, "_unchecked", classmethod(counting_unchecked))
+    symmetry.is_cayley(graph)
+    assert built == {"groups": groups_built, "perms": perms_built}
 
 
 def test_bound_applies_to_the_union_of_two_components() -> None:
