@@ -5,8 +5,8 @@ group contains a regular subgroup: one acting transitively with only the
 identity fixing a vertex (Sabidussi, 1958).  Recognition therefore runs
 cheap necessary conditions first (every Cayley graph is vertex-transitive,
 every vertex-transitive graph has constant degrees) and only then the two
-searches, on image tuples; the members of the regular subgroup found are the
-rows of the witness group's table, whose construction checks them once.
+searches, on image tuples.  The members of the regular subgroup found are
+the rows of the witness group's table, whose construction checks them.
 
 Both searches live here, in pure Python: automorphism enumeration over
 packed bit-rows of the arc relation, and regular-subgroup search over

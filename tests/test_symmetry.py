@@ -220,10 +220,6 @@ def test_find_regular_subgroup_rejects_a_degree_other_than_n() -> None:
         symmetry.find_regular_subgroup(auts + [Permutation([1, 0])], 5)
 
 
-def directed_cycle(n: int) -> Digraph:
-    return Digraph.from_arcs(n, [(v, (v + 1) % n) for v in range(n)])
-
-
 @pytest.mark.parametrize("n", [3, 130])
 def test_each_defect_of_the_kernels_selection_is_caught(n, monkeypatch) -> None:
     rotations = [tuple((v + k) % n for v in range(n)) for k in range(n)]
@@ -231,13 +227,13 @@ def test_each_defect_of_the_kernels_selection_is_caught(n, monkeypatch) -> None:
         "too few members": rotations[:-1],
         # a group again, with identity 1: only the image-of-0 order is wrong
         "out of image-of-0 order": rotations[-1:] + rotations[:-1],
-        # the rows of a loop (identity 0, Latin): at order 130 construction
+        # at order 130 the rows of a loop (identity 0, Latin): construction
         # defers associativity, so only the explicit check can catch them
         "not closed": ([(0, 1, 2), (1, 2, 0), (2, 1, 0)] if n == 3
                        else [tuple(row) for row in loop130().tolist()]),
     }
-    graph = directed_cycle(n)
-    for defect, members in defects.items():
+    graph = circulant(n, (1,), directed=True)       # a directed cycle
+    for members in defects.values():
         monkeypatch.setattr(symmetry, "_search_regular_subgroup", lambda *_: members)
         with pytest.raises((ValueError, GroupGraphsError)):
             symmetry.find_regular_subgroup([Permutation(p) for p in members], n)
