@@ -11,15 +11,11 @@ the rows of the witness group's table, whose construction checks them.
 Both searches live here, in pure Python: automorphism enumeration over
 packed bit-rows of the arc relation, and regular-subgroup search over
 image tuples.  Their output order is lexicographic and deterministic.
-The automorphism search forward-checks: each image it fixes narrows the
-candidates of every later vertex, and a branch that leaves one with none
-is cut.  No leaf lies below such a branch, so cutting it loses nothing.
 Each searches only for what its question needs.  The regular-subgroup
 search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
-Vertex-transitivity looks for one automorphism 0 -> v per target v,
-skips the targets the automorphisms found so far already reach, and never
-lists the group.
+The automorphism search (`_Search`) builds its tables once per graph and
+answers vertex-transitivity without listing the group.
 
 A disconnected graph is decided on one component.  The components of
 Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and
@@ -128,10 +124,8 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     digraphs.  The list always contains the identity and is closed under
     composition and inversion.
     """
-    if graph.order > bound:
-        raise SearchBoundExceeded(graph.order, bound)
     # each leaf of the search is a bijection: an image leaves every later mask
-    return [Permutation._unchecked(p) for p in _search_automorphisms(graph.order, graph.rows)]
+    return [Permutation._unchecked(p) for p in _Search(graph.rows, bound)()]
 
 
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
@@ -139,35 +133,14 @@ def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
 
     Non-constant degrees reject without any search (a vertex-transitive
     graph is regular); complete and edgeless graphs accept likewise.
-    Otherwise the automorphism search runs once per target v, with 0
-    pinned to v, and stops at the first automorphism it finds: the full
-    group is never listed.  A target already in the orbit of 0 under the
-    automorphisms found so far (a union-find over their cycles) is skipped.
+    Otherwise one search answers it (`_Search.transitive`) and never
+    lists the group.
     """
     if not _degrees_constant(graph):
         return False
     if _uniform(graph):
         return True
-    n = graph.order
-    if n > bound:
-        raise SearchBoundExceeded(n, bound)
-    orbit = list(range(n))
-
-    def root(x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = orbit[orbit[x]]
-            x = orbit[x]
-        return x
-
-    for v in range(1, n):
-        if root(v) == root(0):
-            continue
-        found = _search_automorphisms(n, graph.rows, v)
-        if not found:
-            return False
-        for x, y in enumerate(found[0]):
-            orbit[root(x)] = root(y)
-    return True
+    return _Search(graph.rows, bound).transitive()
 
 
 def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] | None:
@@ -238,12 +211,11 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
        (`_decide_on_one_component`); a connected graph whose complement
        is disconnected is decided by its complement, and a witness keeps
        the complement's group;
-    4. the automorphism search, whose images of vertex 0 must cover
-       every vertex, else NotVertexTransitive;
-    5. a regular subgroup of that list (`_regular_group`), else NoRegularSubgroup.
+    4. vertex-transitivity (`_Search.transitive`), else NotVertexTransitive;
+    5. a regular subgroup of the automorphisms (`_regular_group`), else NoRegularSubgroup.
 
-    Only the searches are subject to `bound`: none runs on a graph of more
-    than `bound` vertices, be it the whole graph, a component, or the
+    Only the searches are subject to `bound`: none is built on a graph of
+    more than `bound` vertices, be it the whole graph, a component, or the
     union of two components.  Graphs of any order can still be decided by
     the cheap paths.
     """
@@ -265,12 +237,10 @@ def _decide(graph: Graph, bound: int) -> FiniteGroup | NotCayley:
     complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
     if len(_components(complement)) > 1:
         return _decide(type(graph)(complement), bound)
-    if n > bound:
-        raise SearchBoundExceeded(n, bound)
-    images = _search_automorphisms(n, graph.rows)
-    if len({p[0] for p in images}) != n:
+    search = _Search(graph.rows, bound)
+    if not search.transitive():
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    group = _regular_group(n, images)
+    group = _regular_group(n, search())
     return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP) if group is None else group
 
 
@@ -327,13 +297,11 @@ def _decide_on_one_component(graph: Graph, components: list[int],
     order = components[0].bit_count()
     if any(c.bit_count() != order for c in components):
         return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    if 2 * order > bound:
-        raise SearchBoundExceeded(2 * order, bound)
     first = _vertices(components[0])
     images = [first]                     # images[i][k] = phi_i(c_k)
     for component in components[1:]:
         union = first + _vertices(component)
-        found = _search_automorphisms(2 * order, _induced(graph.rows, union), order)
+        found = _Search(_induced(graph.rows, union), bound)(order)
         if not found:
             return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
         images.append([union[x] for x in found[0][:order]])
@@ -350,10 +318,8 @@ def _decide_on_one_component(graph: Graph, components: list[int],
 
 # -- the search kernels -----------------------------------------------------
 
-def _search_automorphisms(
-    n: int, rows: Sequence[int], target: int | None = None
-) -> list[tuple[int, ...]]:
-    """All permutations preserving the relation, in lexicographic order.
+class _Search:
+    """The automorphism search on one relation, its tables built once.
 
     Backtracks with one candidate mask per vertex, first its class of the
     degree partition (same out- and in-degree).  Trying k -> v narrows the
@@ -361,46 +327,79 @@ def _search_automorphisms(
     from v match u's arcs to and from k, so any v in cand[k] fits every
     earlier image.  A branch that empties a mask has no leaf below it and
     is never entered: the list and its order are the plain backtrack's.
-    With a `target`, vertex 0 may map only to it and the search stops at
-    the first leaf: the result is one automorphism 0 -> target, or none.
+    Building one is the only check of the search bound.
     """
-    cols = _from_matrix(_to_matrix(rows).T)  # bit u of cols[v] joins u to v
-    keys = [(rows[v].bit_count(), cols[v].bit_count()) for v in range(n)]
-    classes: dict[tuple[int, int], int] = {}
-    for v, key in enumerate(keys):
-        classes[key] = classes.get(key, 0) | 1 << v
-    start = [classes[key] for key in keys]
-    if target is not None:
-        start[0] &= 1 << target
-    stop = target is not None
-    # later[k]: (u, 2 * [u -> k] + [k -> u]) for every u > k
-    later = [[(u, 2 * (rows[u] >> k & 1) + (rows[k] >> u & 1)) for u in range(k + 1, n)]
-             for k in range(n)]
-    # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
-    keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r) for v, (r, c) in enumerate(zip(rows, cols))]
 
-    img = [0] * n
-    found: list[tuple[int, ...]] = []
+    def __init__(self, rows: Sequence[int], bound: int):
+        n = self.n = len(rows)
+        if n > bound:
+            raise SearchBoundExceeded(n, bound)
+        cols = _from_matrix(_to_matrix(rows).T)  # bit u of cols[v] joins u to v
+        keys = [(rows[v].bit_count(), cols[v].bit_count()) for v in range(n)]
+        classes: dict[tuple[int, int], int] = {}
+        for v, key in enumerate(keys):
+            classes[key] = classes.get(key, 0) | 1 << v
+        self.start = [classes[key] for key in keys]
+        # later[k]: (u, 2 * [u -> k] + [k -> u]) for every u > k
+        self.later = [[(u, 2 * (rows[u] >> k & 1) + (rows[k] >> u & 1)) for u in range(k + 1, n)]
+                      for k in range(n)]
+        # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
+        self.keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r)
+                     for v, (r, c) in enumerate(zip(rows, cols))]
 
-    def extend(k: int, cand: list[int]) -> bool:
-        if k == n:
-            found.append(tuple(img))
-            return stop
-        for v in _vertices(cand[k]):
-            fits = keep[v]
-            narrowed = cand[:]
-            for u, code in later[k]:
-                m = narrowed[u] = cand[u] & fits[code]
-                if not m:
-                    break
-            else:
-                img[k] = v
-                if extend(k + 1, narrowed):
-                    return True
-        return False
+    def __call__(self, target: int | None = None) -> list[tuple[int, ...]]:
+        """All automorphisms in lexicographic order; with a `target`, vertex 0
+        maps only to it and the search stops at the first leaf: the result is
+        one automorphism 0 -> target, or none."""
+        n, later, keep = self.n, self.later, self.keep
+        start = self.start[:]
+        stop = target is not None
+        if stop:
+            start[0] &= 1 << target
+        img = [0] * n
+        found: list[tuple[int, ...]] = []
 
-    extend(0, start)
-    return found
+        def extend(k: int, cand: list[int]) -> bool:
+            if k == n:
+                found.append(tuple(img))
+                return stop
+            for v in _vertices(cand[k]):
+                fits = keep[v]
+                narrowed = cand[:]
+                for u, code in later[k]:
+                    m = narrowed[u] = cand[u] & fits[code]
+                    if not m:
+                        break
+                else:
+                    img[k] = v
+                    if extend(k + 1, narrowed):
+                        return True
+            return False
+
+        extend(0, start)
+        return found
+
+    def transitive(self) -> bool:
+        """True iff some automorphism sends 0 to each vertex v: one targeted
+        search per v not yet in the orbit of 0 under the automorphisms found
+        so far (a union-find over their cycles)."""
+        orbit = list(range(self.n))
+
+        def root(x: int) -> int:
+            while orbit[x] != x:
+                orbit[x] = orbit[orbit[x]]
+                x = orbit[x]
+            return x
+
+        for v in range(1, self.n):
+            if root(v) == root(0):
+                continue
+            found = self(v)
+            if not found:
+                return False
+            for x, y in enumerate(found[0]):
+                orbit[root(x)] = root(y)
+        return True
 
 
 def _semiregular(p: tuple[int, ...]) -> bool:

@@ -136,9 +136,10 @@ def test_automorphisms_match_networkx_and_sympy(graph) -> None:
     group = PermutationGroup([SympyPermutation(list(p)) for p in images])
     assert group.order() == len(images)
     assert group.orbit(0) == {p[0] for p in images}
+    search = symmetry._Search(graph.rows, n)
     for v in range(n):
         first = [p for p in images if p[0] == v][:1]
-        assert symmetry._search_automorphisms(n, graph.rows, v) == first
+        assert search(v) == first
 
 
 # -- generalized Petersen graphs ---------------------------------------------------
@@ -159,11 +160,22 @@ PETERSEN_PAIRS = [(n, k) for n in range(7, 14) for k in range(1, (n + 1) // 2)] 
 
 
 @pytest.mark.parametrize("n, k", PETERSEN_PAIRS, ids=[f"GP({n},{k})" for n, k in PETERSEN_PAIRS])
-def test_generalized_petersen_graphs_follow_the_classification(n, k) -> None:
+def test_generalized_petersen_graphs_follow_the_classification(n, k, monkeypatch) -> None:
     graph = generalized_petersen(n, k)
     square = k * k % n
     rotary = square in (1, n - 1)
+    transitive = rotary or (n, k) == (10, 2)
     order = len(symmetry.automorphisms(graph, bound=40))
     assert order == EXCEPTIONAL_GROUP_ORDERS.get((n, k), 4 * n if rotary else 2 * n)
-    assert symmetry.is_vertex_transitive(graph, bound=40) == (rotary or (n, k) == (10, 2))
+    assert symmetry.is_vertex_transitive(graph, bound=40) == transitive
+    searches = []
+    search = symmetry._Search.__call__
+
+    def counting(self, target=None):
+        searches.append(target)
+        return search(self, target)
+
+    monkeypatch.setattr(symmetry._Search, "__call__", counting)
     assert bool(symmetry.is_cayley(graph, bound=40)) == (square == 1)
+    # a graph that is not vertex-transitive is rejected before the group is listed
+    assert searches.count(None) == int(transitive)

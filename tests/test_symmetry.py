@@ -97,14 +97,16 @@ def test_automorphism_output_is_a_group() -> None:
 
 def test_automorphisms_bound() -> None:
     path = SimpleGraph.from_edges(17, [(i, i + 1) for i in range(16)])
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(SearchBoundExceeded) as raised:
         symmetry.automorphisms(path)
+    assert (raised.value.order, raised.value.bound) == (17, 16)
     assert len(symmetry.automorphisms(path, bound=17)) == 2
 
 
 def test_vertex_transitivity_bound() -> None:
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(SearchBoundExceeded) as raised:
         symmetry.is_vertex_transitive(cycle_graph(17))
+    assert (raised.value.order, raised.value.bound) == (17, 16)
     assert symmetry.is_vertex_transitive(cycle_graph(17), bound=17)
 
 
@@ -355,6 +357,7 @@ def test_bound_applies_to_the_union_of_two_components() -> None:
     with pytest.raises(SearchBoundExceeded) as raised:
         symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)))
     assert raised.value.order == 14
+    assert raised.value.bound == 12
     witness = symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)), bound=14)
     assert witness
     assert witness.reconstruct() == disjoint_union(cycle_graph(7), cycle_graph(7))
@@ -364,8 +367,9 @@ def test_bound_applies_to_the_union_of_two_components() -> None:
 
 
 def test_is_cayley_bound() -> None:
-    with pytest.raises(SearchBoundExceeded):
+    with pytest.raises(SearchBoundExceeded) as raised:
         symmetry.is_cayley(cycle_graph(13))
+    assert (raised.value.order, raised.value.bound) == (13, 12)
     witness = symmetry.is_cayley(cycle_graph(13), bound=13)
     assert witness
     assert witness.reconstruct() == cycle_graph(13)
@@ -464,25 +468,32 @@ def random_graphs(draw, max_order=8):
 def test_automorphism_search_matches_brute_force(graph) -> None:
     expected = brute_force_automorphisms(graph)
     assert [p.images for p in symmetry.automorphisms(graph)] == expected
+    search = symmetry._Search(graph.rows, graph.order)
     for v in range(graph.order):
         first = [p for p in expected if p[0] == v][:1]
-        assert symmetry._search_automorphisms(graph.order, graph.rows, v) == first
+        assert search(v) == first
 
 
 def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
     graph = circulant(64, (1, 5, 9, 55, 59, 63))
-    searches = []
-    search = symmetry._search_automorphisms
+    built, searches = [], []
+    init, search = symmetry._Search.__init__, symmetry._Search.__call__
 
-    def counting(*args):
-        searches.append(args[2])
-        return search(*args)
+    def counting_init(self, rows, bound):
+        built.append(len(rows))
+        init(self, rows, bound)
 
-    monkeypatch.setattr(symmetry, "_search_automorphisms", counting)
+    def counting(self, target=None):
+        searches.append(target)
+        return search(self, target)
+
+    monkeypatch.setattr(symmetry._Search, "__init__", counting_init)
+    monkeypatch.setattr(symmetry._Search, "__call__", counting)
     assert symmetry.is_vertex_transitive(graph, bound=64)
     # the reflections x -> 1 - x and x -> 2 - x, found for targets 1 and 2,
     # generate every rotation, so 61 searches are skipped
-    assert len(searches) == 2
+    assert searches == [1, 2]
+    assert built == [64]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)

@@ -115,7 +115,7 @@ def test_no_decision_reaches_the_search(monkeypatch) -> None:
     def no_search(*args, **kwargs):
         raise AssertionError("verify reached the automorphism search")
 
-    monkeypatch.setattr(symmetry, "_search_automorphisms", no_search)
+    monkeypatch.setattr(symmetry, "_Search", no_search)
     rows = verify.verify_theorem()
     assert len(rows) == 28
     assert all(row.consistent for row in rows)
