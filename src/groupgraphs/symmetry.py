@@ -17,15 +17,15 @@ length), because every non-identity member of a regular group is one.
 The automorphism search (`_Search`) builds its tables once per graph and
 answers vertex-transitivity without listing the group.
 
-A disconnected graph is decided on one component.  The components of
-Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and
-t copies of Cay(K, S) form Cay(K x Z_t, S x {0}); so a graph whose
-components are copies of one component is Cayley exactly when that
-component is, and a graph with two non-isomorphic components is not even
+Both questions run one reduction first (`_reduce`).  The components of
+Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and t copies
+of Cay(K, S) form Cay(K x Z_t, S x {0}); so a graph whose components are
+copies of one is Cayley, or vertex-transitive, exactly when that component
+is, and a graph with two non-isomorphic components is not even
 vertex-transitive.  A graph and its complement have the same automorphisms
-(and the complement of Cay(H, S) is Cay(H, H - S - {e})), and at least one
-of them is connected, so a connected graph with a disconnected complement
-is decided by its complement.
+(the complement of Cay(H, S) is Cay(H, H - S - {e})), and at least one of
+them is connected, so a connected graph with a disconnected complement is
+replaced by its complement.
 """
 
 from __future__ import annotations
@@ -131,16 +131,10 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
     """True iff the automorphisms send vertex 0 to every vertex.
 
-    Non-constant degrees reject without any search (a vertex-transitive
-    graph is regular); complete and edgeless graphs accept likewise.
-    Otherwise one search answers it (`_Search.transitive`) and never
-    lists the group.
+    Runs is_cayley's stages 1-4 (`_reduce`) and no more, building no group
+    and listing no automorphism; the bound applies to each searched graph.
     """
-    if not _degrees_constant(graph):
-        return False
-    if _uniform(graph):
-        return True
-    return _Search(graph.rows, bound).transitive()
+    return not isinstance(_reduce(graph, bound), NotCayley)
 
 
 def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] | None:
@@ -201,23 +195,22 @@ def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
 def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness | NotCayley:
     """Decide whether the graph is a Cayley graph of some group.
 
-    Checks run cheapest-first and report the earliest failure:
+    Checks run cheapest-first and report the earliest failure; 1-4 are
+    `_reduce`, which is_vertex_transitive shares:
 
     1. constant degrees (in and out separately for digraphs), else
        NotRegularDegree;
     2. complete/edgeless graphs accept immediately with a cyclic-group
        witness;
-    3. a disconnected graph is decided on the component of vertex 0
-       (`_decide_on_one_component`); a connected graph whose complement
-       is disconnected is decided by its complement, and a witness keeps
-       the complement's group;
+    3. a disconnected graph is decided on the component of vertex 0, once
+       every other component is a copy of it, else NotVertexTransitive; a
+       co-disconnected one by its complement, whose witness group it keeps;
     4. vertex-transitivity (`_Search.transitive`), else NotVertexTransitive;
     5. a regular subgroup of the automorphisms (`_regular_group`), else NoRegularSubgroup.
 
-    Only the searches are subject to `bound`: none is built on a graph of
-    more than `bound` vertices, be it the whole graph, a component, or the
-    union of two components.  Graphs of any order can still be decided by
-    the cheap paths.
+    `bound` limits each searched graph: the union of two components, or
+    the connected, co-connected graph left.  The cheap paths decide graphs
+    of any order.
     """
     verdict = _decide(graph, bound)
     return verdict if isinstance(verdict, NotCayley) else _witness(graph, verdict)
@@ -225,26 +218,65 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
 
 def _decide(graph: Graph, bound: int) -> FiniteGroup | NotCayley:
     """is_cayley's verdict: a group whose element v is vertex v, or the reason."""
+    reduced = _reduce(graph, bound)
+    if isinstance(reduced, NotCayley):
+        return reduced
+    left, search, maps = reduced
+    group = cyclic(left.order) if search is None else _regular_group(left.order, search())
+    if group is None:
+        return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
+    for images in reversed(maps):
+        # K x Z_t, element k * t + i is (k, i): relabelled, then built and checked once
+        product = _product_table(group.table, _sum_table(len(images)))
+        vertex = np.array(images).T.reshape(-1)
+        table = np.empty_like(product)
+        table[np.ix_(vertex, vertex)] = vertex[product]
+        group = FiniteGroup(table)
+    return group
+
+
+# -- the reduction both questions share ----------------------------------------
+
+def _reduce(graph: Graph, bound: int) -> tuple[Graph, _Search | None, list] | NotCayley:
+    """is_cayley's stages 1-4: the graph left, its search and maps, or the reason.
+
+    What is left is complete or edgeless, with no search, or connected and
+    co-connected, with its search, which is transitive.  A disconnected
+    graph becomes C_0, its component of vertex 0, once a targeted search on
+    the union of C_0 and each C_i maps C_0 onto C_i by phi_i; that step
+    appends images[i][k] = phi_i(c_k), c_k being C_0's k-th vertex, to maps.
+    """
     if not _degrees_constant(graph):
         return NotCayley(NotCayleyReason.NOT_REGULAR_DEGREE)
-    if _uniform(graph):
-        return cyclic(graph.order)
-    n = graph.order
-    components = _components(graph.rows)
-    if len(components) > 1:
-        return _decide_on_one_component(graph, components, bound)
-    full = (1 << n) - 1
-    complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
-    if len(_components(complement)) > 1:
-        return _decide(type(graph)(complement), bound)
-    search = _Search(graph.rows, bound)
-    if not search.transitive():
-        return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    group = _regular_group(n, search())
-    return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP) if group is None else group
+    maps: list[list[list[int]]] = []
+    while not _uniform(graph):
+        components = _components(graph.rows)
+        if len(components) > 1:
+            order = components[0].bit_count()
+            if any(c.bit_count() != order for c in components):
+                return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
+            first = _vertices(components[0])
+            images = [first]
+            for component in components[1:]:
+                union = first + _vertices(component)
+                found = _Search(_induced(graph.rows, union), bound)(order)
+                if not found:
+                    return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
+                images.append([union[x] for x in found[0][:order]])
+            maps.append(images)
+            graph = type(graph)(_induced(graph.rows, first))
+            continue
+        full = (1 << graph.order) - 1
+        complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
+        if len(_components(complement)) > 1:
+            graph = type(graph)(complement)
+            continue
+        search = _Search(graph.rows, bound)
+        if not search.transitive():
+            return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
+        return graph, search, maps
+    return graph, None, maps
 
-
-# -- one component for the whole graph ----------------------------------------
 
 def _components(rows: Sequence[int]) -> list[int]:
     """The weak components of a relation with constant in- and out-degrees.
@@ -282,38 +314,6 @@ def _induced(rows: Sequence[int], vertices: list[int]) -> list[int]:
     """Bit-rows of the subgraph on `vertices`, vertices[j] renamed j."""
     return [sum(1 << j for j, u in enumerate(vertices) if (rows[v] >> u) & 1)
             for v in vertices]
-
-
-def _decide_on_one_component(graph: Graph, components: list[int],
-                             bound: int) -> FiniteGroup | NotCayley:
-    """_decide on a graph with t > 1 components, from the one holding vertex 0.
-
-    Each other component C_i must be a copy of C_0: one targeted search on
-    the union of the two sends 0 to C_i's first vertex, and its restriction
-    to C_0 is an isomorphism phi_i.  Then the graph is Cayley exactly when
-    C_0 is; a witness group K of C_0 (element k is C_0's k-th vertex c_k)
-    lifts to K x Z_t, with (k, i) the vertex phi_i(c_k).
-    """
-    order = components[0].bit_count()
-    if any(c.bit_count() != order for c in components):
-        return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-    first = _vertices(components[0])
-    images = [first]                     # images[i][k] = phi_i(c_k)
-    for component in components[1:]:
-        union = first + _vertices(component)
-        found = _Search(_induced(graph.rows, union), bound)(order)
-        if not found:
-            return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-        images.append([union[x] for x in found[0][:order]])
-    verdict = _decide(type(graph)(_induced(graph.rows, first)), bound)
-    if isinstance(verdict, NotCayley):
-        return verdict
-    # K x Z_t, element k * t + i is (k, i): relabelled, then built and checked once
-    product = _product_table(verdict.table, _sum_table(len(components)))
-    vertex = np.array(images).T.reshape(-1)
-    table = np.empty_like(product)
-    table[np.ix_(vertex, vertex)] = vertex[product]
-    return FiniteGroup(table)
 
 
 # -- the search kernels -----------------------------------------------------

@@ -286,6 +286,7 @@ def test_disjoint_cliques_and_complements_are_decided_on_one_component(k) -> Non
             assert witness
             assert witness.group.order == t * k
             assert witness.reconstruct() == graph
+            assert symmetry.is_vertex_transitive(graph)
 
 
 def test_lifted_witness_group_is_the_component_group_times_z_t() -> None:
@@ -327,7 +328,8 @@ def test_lifted_witness_groups_of_disjoint_cliques_are_pinned() -> None:
     (disjoint_cliques(3, 3), 2, 9),      # K3's cyclic group and the lift
     (cycle_graph(5), 1, 5),              # the witness group and its translations
     (petersen_graph(), 0, 0),
-], ids=["3K3", "C5", "Petersen"])
+    (SimpleGraph.complete(7), 1, 7),     # cyclic(7) and its translations
+], ids=["3K3", "C5", "Petersen", "K7"])
 def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
                                                monkeypatch) -> None:
     built = {"groups": 0, "perms": 0}
@@ -349,11 +351,13 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counting_group_init)
     monkeypatch.setattr(Permutation, "__init__", counting_perm_init)
     monkeypatch.setattr(Permutation, "_unchecked", classmethod(counting_unchecked))
+    assert symmetry.is_vertex_transitive(graph)
+    assert built == {"groups": 0, "perms": 0}
     symmetry.is_cayley(graph)
     assert built == {"groups": groups_built, "perms": perms_built}
 
 
-def test_bound_applies_to_the_union_of_two_components() -> None:
+def test_bound_applies_to_the_union_of_two_components(monkeypatch) -> None:
     with pytest.raises(SearchBoundExceeded) as raised:
         symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)))
     assert raised.value.order == 14
@@ -361,9 +365,19 @@ def test_bound_applies_to_the_union_of_two_components() -> None:
     witness = symmetry.is_cayley(disjoint_union(cycle_graph(7), cycle_graph(7)), bound=14)
     assert witness
     assert witness.reconstruct() == disjoint_union(cycle_graph(7), cycle_graph(7))
+    with pytest.raises(SearchBoundExceeded) as raised:
+        symmetry.is_vertex_transitive(disjoint_union(cycle_graph(9), cycle_graph(9)))
+    assert (raised.value.order, raised.value.bound) == (18, 16)
+    assert symmetry.is_vertex_transitive(disjoint_union(cycle_graph(9), cycle_graph(9)), bound=18)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("components of two orders reached the search")
+
     # components of two orders need no search at all
-    verdict = symmetry.is_cayley(disjoint_union(cycle_graph(13), cycle_graph(14)))
-    assert verdict.reason is NotCayleyReason.NOT_VERTEX_TRANSITIVE
+    monkeypatch.setattr(symmetry, "_Search", no_search)
+    unequal = disjoint_union(cycle_graph(13), cycle_graph(14))
+    assert symmetry.is_cayley(unequal).reason is NotCayleyReason.NOT_VERTEX_TRANSITIVE
+    assert not symmetry.is_vertex_transitive(unequal)
 
 
 def test_is_cayley_bound() -> None:
@@ -600,9 +614,12 @@ def test_unequal_components_are_connected_and_not_isomorphic() -> None:
 @given(st.one_of(copies(), unequal_unions()))
 def test_disconnected_verdicts_match_the_unreduced_pipeline(graph) -> None:
     verdict = symmetry.is_cayley(graph, bound=graph.order)
-    assert (bool(verdict), None if verdict else verdict.reason) == unreduced_verdict(graph)
+    expected = unreduced_verdict(graph)
+    assert (bool(verdict), None if verdict else verdict.reason) == expected
     if verdict:
         assert verdict.reconstruct() == graph
+    transitive = expected[1] is not NotCayleyReason.NOT_VERTEX_TRANSITIVE
+    assert symmetry.is_vertex_transitive(graph, bound=graph.order) == transitive
 
 
 @pytest.mark.parametrize("sigma", [
