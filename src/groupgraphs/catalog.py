@@ -47,8 +47,7 @@ def catalog(max_order: int = MAX_CATALOG_ORDER) -> list[FiniteGroup]:
 
 
 def catalog_entry(name: str) -> FiniteGroup:
-    """The catalog group with exactly this name."""
-    for group in catalog():
-        if group.name == name:
-            return group
-    raise KeyError(f"no catalog group named {name!r}")
+    """The catalog group with exactly this name (each name is its spec)."""
+    if name not in CATALOG_SPECS:
+        raise KeyError(f"no catalog group named {name!r}")
+    return parse_group_spec(name)

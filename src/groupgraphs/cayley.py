@@ -7,6 +7,7 @@ the undirected Cayley graph is the same relation with orientation dropped.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -16,6 +17,16 @@ from .errors import ElementOutOfRange, IdentityInConnectionSet, NotInverseClosed
 from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup
 from .perms import Permutation
+
+
+def _integer(value, what: str) -> int:
+    """`value` as a plain int; bools and non-integers raise ValueError."""
+    try:
+        if isinstance(value, bool):    # operator.index takes bools
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -32,8 +43,9 @@ class ConnectionSet:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __init__(self, order: int, members: Iterable[int] = ()):
-        object.__setattr__(self, "order", int(order))
-        object.__setattr__(self, "members", frozenset(int(m) for m in members))
+        object.__setattr__(self, "order", _integer(order, "connection set order"))
+        object.__setattr__(self, "members",
+                           frozenset(_integer(m, "connection set member") for m in members))
         for m in self.members:
             if not 0 <= m < self.order:
                 raise ElementOutOfRange(

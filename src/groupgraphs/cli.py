@@ -123,6 +123,8 @@ def _input_graphs(args: argparse.Namespace,
     if (args.infile is None) == (args.group is None):
         parser.error("exactly one of --in and --group is required")
     if args.infile is not None:
+        if args.set is not None or args.directed:
+            parser.error("--set and --directed apply to --group, not --in")
         return _read_graphs(args.infile)
     group = parse_group_spec(args.group)
     return [_group_graph(group, _parse_connection_members(args.set), args.directed)]

@@ -23,9 +23,10 @@ of Cay(K, S) form Cay(K x Z_t, S x {0}); so a graph whose components are
 copies of one is Cayley, or vertex-transitive, exactly when that component
 is, and a graph with two non-isomorphic components is not even
 vertex-transitive.  A graph and its complement have the same automorphisms
-(the complement of Cay(H, S) is Cay(H, H - S - {e})), and at least one of
-them is connected, so a connected graph with a disconnected complement is
-replaced by its complement.
+(the complement of Cay(H, S) is Cay(H, H - S - {e})).  A graph of constant
+degree d on n vertices is connected if 2d >= n - 1, and its complement is
+if 2d <= n - 1; so one with 2d > n - 1 is replaced by its complement, and
+no complement is searched for components.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cayley import ConnectionSet, directed_cayley, left_translation, undirected_cayley
+from .cayley import ConnectionSet, directed_cayley, undirected_cayley
 from .errors import SearchBoundExceeded
 from .graphs import Digraph, SimpleGraph, _from_matrix, _to_matrix
 from .groups import FiniteGroup, _product_table, _sum_table, cyclic
@@ -107,11 +108,6 @@ def _degrees_constant(graph: Graph) -> bool:
     return graph.is_regular()
 
 
-def _uniform(graph: Graph) -> bool:
-    """Complete or edgeless: Cayley for trivial reasons, no search needed."""
-    return graph.is_complete() or not any(graph.rows)
-
-
 def backend_name() -> str:
     """Name of the search implementation; there is one, in pure Python."""
     return "pure-python"
@@ -131,8 +127,10 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
     """True iff the automorphisms send vertex 0 to every vertex.
 
-    Runs is_cayley's stages 1-4 (`_reduce`) and no more, building no group
-    and listing no automorphism; the bound applies to each searched graph.
+    Runs is_cayley's stages 1-4 (`_reduce`: the degree filter, the
+    complement when 2d > n - 1, the component step, one search) and no
+    more, building no group and listing no automorphism; the bound applies
+    to each searched graph.
     """
     return not isinstance(_reduce(graph, bound), NotCayley)
 
@@ -188,7 +186,8 @@ def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
     n = graph.order
     row = graph.rows[0]
     connection = ConnectionSet(n, (v for v in range(n) if (row >> v) & 1))
-    vertex_map = tuple(left_translation(group, v) for v in range(n))
+    # row v of the table is v's left translation u -> v * u; it passed the Latin-square check
+    vertex_map = tuple(Permutation._unchecked(tuple(images)) for images in group.table.tolist())
     return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
 
 
@@ -200,29 +199,22 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
 
     1. constant degrees (in and out separately for digraphs), else
        NotRegularDegree;
-    2. complete/edgeless graphs accept immediately with a cyclic-group
-       witness;
+    2. a graph of degree d on n vertices with 2d > n - 1 is replaced by its
+       complement, which has the same automorphisms; an edgeless graph
+       accepts with a cyclic-group witness;
     3. a disconnected graph is decided on the component of vertex 0, once
-       every other component is a copy of it, else NotVertexTransitive; a
-       co-disconnected one by its complement, whose witness group it keeps;
+       every other component is a copy of it, else NotVertexTransitive;
     4. vertex-transitivity (`_Search.transitive`), else NotVertexTransitive;
     5. a regular subgroup of the automorphisms (`_regular_group`), else NoRegularSubgroup.
 
     `bound` limits each searched graph: the union of two components, or
-    the connected, co-connected graph left.  The cheap paths decide graphs
-    of any order.
+    the connected graph left.  The cheap paths decide graphs of any order.
     """
-    verdict = _decide(graph, bound)
-    return verdict if isinstance(verdict, NotCayley) else _witness(graph, verdict)
-
-
-def _decide(graph: Graph, bound: int) -> FiniteGroup | NotCayley:
-    """is_cayley's verdict: a group whose element v is vertex v, or the reason."""
     reduced = _reduce(graph, bound)
     if isinstance(reduced, NotCayley):
         return reduced
-    left, search, maps = reduced
-    group = cyclic(left.order) if search is None else _regular_group(left.order, search())
+    order, search, maps = reduced
+    group = cyclic(order) if search is None else _regular_group(order, search())
     if group is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     for images in reversed(maps):
@@ -232,50 +224,55 @@ def _decide(graph: Graph, bound: int) -> FiniteGroup | NotCayley:
         table = np.empty_like(product)
         table[np.ix_(vertex, vertex)] = vertex[product]
         group = FiniteGroup(table)
-    return group
+    return _witness(graph, group)
 
 
 # -- the reduction both questions share ----------------------------------------
 
-def _reduce(graph: Graph, bound: int) -> tuple[Graph, _Search | None, list] | NotCayley:
-    """is_cayley's stages 1-4: the graph left, its search and maps, or the reason.
+def _reduce(graph: Graph, bound: int) -> tuple[int, _Search | None, list] | NotCayley:
+    """is_cayley's stages 1-4: the order left, its search and maps, or the reason.
 
-    What is left is complete or edgeless, with no search, or connected and
-    co-connected, with its search, which is transitive.  A disconnected
-    graph becomes C_0, its component of vertex 0, once a targeted search on
-    the union of C_0 and each C_i maps C_0 onto C_i by phi_i; that step
+    Works on bit-rows of constant degree d on n vertices.  If 2d >= n - 1
+    they are (weakly) connected: two vertices not joined have at least
+    n - 1 neighbours between them among the other n - 2, so they share one.
+    If 2d <= n - 1 the complement is connected by the same count.  So the
+    rows become the complement's exactly when 2d > n - 1, and no complement
+    is searched for components.  What is left is edgeless, with no search,
+    or connected, with its search, which is transitive.  Disconnected rows
+    become those of C_0, the component of vertex 0, once a targeted search
+    on the union of C_0 and each C_i maps C_0 onto C_i by phi_i; that step
     appends images[i][k] = phi_i(c_k), c_k being C_0's k-th vertex, to maps.
     """
     if not _degrees_constant(graph):
         return NotCayley(NotCayleyReason.NOT_REGULAR_DEGREE)
+    rows: Sequence[int] = graph.rows
     maps: list[list[list[int]]] = []
-    while not _uniform(graph):
-        components = _components(graph.rows)
-        if len(components) > 1:
-            order = components[0].bit_count()
-            if any(c.bit_count() != order for c in components):
+    while True:
+        n = len(rows)
+        if 2 * rows[0].bit_count() > n - 1:
+            full = (1 << n) - 1
+            rows = [full & ~(1 << v) & ~row for v, row in enumerate(rows)]
+        if not rows[0]:
+            return n, None, maps
+        components = _components(rows)
+        if len(components) == 1:
+            search = _Search(rows, bound)
+            if not search.transitive():
                 return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-            first = _vertices(components[0])
-            images = [first]
-            for component in components[1:]:
-                union = first + _vertices(component)
-                found = _Search(_induced(graph.rows, union), bound)(order)
-                if not found:
-                    return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-                images.append([union[x] for x in found[0][:order]])
-            maps.append(images)
-            graph = type(graph)(_induced(graph.rows, first))
-            continue
-        full = (1 << graph.order) - 1
-        complement = [full & ~(1 << v) & ~row for v, row in enumerate(graph.rows)]
-        if len(_components(complement)) > 1:
-            graph = type(graph)(complement)
-            continue
-        search = _Search(graph.rows, bound)
-        if not search.transitive():
+            return n, search, maps
+        order = components[0].bit_count()
+        if any(c.bit_count() != order for c in components):
             return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-        return graph, search, maps
-    return graph, None, maps
+        first = _vertices(components[0])
+        images = [first]
+        for component in components[1:]:
+            union = first + _vertices(component)
+            found = _Search(_induced(rows, union), bound)(order)
+            if not found:
+                return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
+            images.append([union[x] for x in found[0][:order]])
+        maps.append(images)
+        rows = _induced(rows, first)
 
 
 def _components(rows: Sequence[int]) -> list[int]:

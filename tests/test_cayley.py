@@ -24,6 +24,15 @@ def test_connection_set_validation() -> None:
         ConnectionSet(6, (-1,))
 
 
+@pytest.mark.parametrize("order, members, bad", [
+    (4.9, [1], "order 4.9"), (4, [1.7], "member 1.7"), (4, [True], "member True"),
+    (True, [], "order True"), ("4", [], "order '4'"),
+])
+def test_connection_set_rejects_what_is_not_an_integer(order, members, bad) -> None:
+    with pytest.raises(ValueError, match=f"connection set {bad} is not an integer"):
+        ConnectionSet(order, members)
+
+
 def test_identity_rejected_at_construction() -> None:
     group = groups.cyclic(5)
     with pytest.raises(IdentityInConnectionSet):

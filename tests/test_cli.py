@@ -312,6 +312,22 @@ def test_is_cayley_requires_exactly_one_source() -> None:
         main(["is-cayley", "--group", "Z4", "--in", "nope.g6"])
 
 
+@pytest.mark.parametrize("command", ["aut", "is-cayley"])
+@pytest.mark.parametrize("extra", [["--set", "1,2"], ["--directed"], ["--set", "1", "--directed"]],
+                         ids=" ".join)
+def test_group_options_with_in_are_rejected(capsys, tmp_path: Path, command, extra) -> None:
+    infile = tmp_path / "c5.g6"
+    infile.write_text("Dhc\n", encoding="ascii")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--in", str(infile), *extra])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: groupgraphs")
+    assert error == "groupgraphs: error: --set and --directed apply to --group, not --in"
+
+
 def test_verify_table_output(capsys) -> None:
     code, out = run(capsys, "verify", "--max-order", "8")
     assert code == 0

@@ -11,7 +11,7 @@ Petersen graphs with the theorems that classify them.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -23,7 +23,7 @@ from groupgraphs import cayley, symmetry
 from groupgraphs.catalog import catalog
 from groupgraphs.cayley import ConnectionSet
 from groupgraphs.graphs import Digraph, SimpleGraph
-from tests.conftest import petersen_graph, relabel, to_networkx
+from tests.conftest import complement, disjoint_union, petersen_graph, relabel, to_networkx
 
 
 def matcher_automorphisms(graph) -> list[tuple[int, ...]]:
@@ -37,6 +37,23 @@ def matcher_automorphisms(graph) -> list[tuple[int, ...]]:
 
 # vertex-transitive graphs on 1..7 vertices, up to isomorphism (OEIS A006799)
 VERTEX_TRANSITIVE_COUNTS = [1, 2, 2, 4, 3, 8, 4]
+
+
+def assert_degree_rule(graph) -> None:
+    """Constant degree d on n vertices: connected if 2d >= n - 1, co-connected
+    if 2d <= n - 1 (weakly, for digraphs), checked with networkx."""
+    n, d = graph.order, graph.rows[0].bit_count()
+    if 2 * d >= n - 1:
+        assert nx.is_connected(to_networkx(graph).to_undirected())
+    if 2 * d <= n - 1:
+        assert nx.is_connected(to_networkx(complement(graph)).to_undirected())
+
+
+def same_verdict(first, second) -> bool:
+    """Both Cayley with one witness group table, or both not, for one reason."""
+    if first and second:
+        return (first.group.table == second.group.table).all()
+    return not first and not second and first.reason is second.reason
 
 
 def test_census_of_all_graphs_on_at_most_seven_vertices() -> None:
@@ -56,11 +73,24 @@ def test_census_of_all_graphs_on_at_most_seven_vertices() -> None:
             assert images == matcher_automorphisms(graph)
         transitive = len({p[0] for p in images}) == n
         assert symmetry.is_vertex_transitive(graph) == transitive
+        verdict = symmetry.is_cayley(graph)
+        assert same_verdict(verdict, symmetry.is_cayley(complement(graph)))
+        if graph.is_regular():
+            assert_degree_rule(graph)
         if transitive:
             counts[n - 1] += 1
-            witness = symmetry.is_cayley(graph)
-            assert witness and witness.reconstruct() == graph
+            assert verdict and verdict.reconstruct() == graph
     assert counts == VERTEX_TRANSITIVE_COUNTS
+
+
+def test_degree_rule_on_cayley_digraphs_and_their_disjoint_unions() -> None:
+    for group in catalog(8):
+        others = [g for g in range(group.order) if g != group.identity]
+        for size in range(len(others) + 1):
+            for members in combinations(others, size):
+                graph = cayley.directed_cayley(group, ConnectionSet(group.order, members))
+                assert_degree_rule(graph)
+                assert_degree_rule(disjoint_union(graph, graph))
 
 
 # -- relabelled Cayley graphs and named graphs up to order 16 -------------------

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import groupgraphs
-from groupgraphs import cayley, groups, powergraph, symmetry
+from groupgraphs import cayley, graphs, groups, powergraph, symmetry
 from groupgraphs.catalog import catalog
 from groupgraphs.cayley import ConnectionSet
 from groupgraphs.errors import GroupGraphsError, SearchBoundExceeded
@@ -332,9 +332,10 @@ def test_lifted_witness_groups_of_disjoint_cliques_are_pinned() -> None:
 ], ids=["3K3", "C5", "Petersen", "K7"])
 def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
                                                monkeypatch) -> None:
-    built = {"groups": 0, "perms": 0}
+    built = {"groups": 0, "perms": 0, "graphs": 0}
     group_init, perm_init, unchecked = (groups.FiniteGroup.__init__, Permutation.__init__,
                                         Permutation._unchecked)
+    graph_init = graphs._BitRows.__init__
 
     def counting_group_init(self, *args, **kwargs):
         built["groups"] += 1
@@ -348,13 +349,18 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
         built["perms"] += 1
         return unchecked(images)
 
+    def counting_graph_init(self, rows):    # SimpleGraph's and Digraph's
+        built["graphs"] += 1
+        graph_init(self, rows)
+
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counting_group_init)
     monkeypatch.setattr(Permutation, "__init__", counting_perm_init)
     monkeypatch.setattr(Permutation, "_unchecked", classmethod(counting_unchecked))
+    monkeypatch.setattr(graphs._BitRows, "__init__", counting_graph_init)
     assert symmetry.is_vertex_transitive(graph)
-    assert built == {"groups": 0, "perms": 0}
+    assert built == {"groups": 0, "perms": 0, "graphs": 0}
     symmetry.is_cayley(graph)
-    assert built == {"groups": groups_built, "perms": perms_built}
+    assert built == {"groups": groups_built, "perms": perms_built, "graphs": 0}
 
 
 def test_bound_applies_to_the_union_of_two_components(monkeypatch) -> None:
