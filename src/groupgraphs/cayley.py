@@ -43,7 +43,10 @@ class ConnectionSet:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __init__(self, order: int, members: Iterable[int] = ()):
-        object.__setattr__(self, "order", _integer(order, "connection set order"))
+        order = _integer(order, "connection set order")
+        if order < 1:
+            raise ValueError(f"connection set order {order} is below 1")
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "members",
                            frozenset(_integer(m, "connection set member") for m in members))
         for m in self.members:

@@ -324,6 +324,8 @@ class _Search:
     from v match u's arcs to and from k, so any v in cand[k] fits every
     earlier image.  A branch that empties a mask has no leaf below it and
     is never entered: the list and its order are the plain backtrack's.
+    Each depth keeps one list of masks, which its tries overwrite, and the
+    last vertex takes the one image left in its mask with no further try.
     Building one is the only check of the search bound.
     """
 
@@ -349,31 +351,43 @@ class _Search:
         maps only to it and the search stops at the first leaf: the result is
         one automorphism 0 -> target, or none."""
         n, later, keep = self.n, self.later, self.keep
-        start = self.start[:]
         stop = target is not None
+        # masks[k] holds the masks of vertices k.. at depth k; each try at depth
+        # k overwrites those of k + 1.. in masks[k + 1], which only depth k + 1 reads
+        masks = [self.start[:]] + [[0] * n for _ in range(n)]
         if stop:
-            start[0] &= 1 << target
+            masks[0][0] &= 1 << target
         img = [0] * n
         found: list[tuple[int, ...]] = []
 
-        def extend(k: int, cand: list[int]) -> bool:
-            if k == n:
-                found.append(tuple(img))
-                return stop
-            for v in _vertices(cand[k]):
+        def extend(k: int) -> bool:
+            cand, narrowed, checks = masks[k], masks[k + 1], later[k]
+            left = cand[k]
+            while left:
+                low = left & -left
+                left ^= low
+                v = low.bit_length() - 1
                 fits = keep[v]
-                narrowed = cand[:]
-                for u, code in later[k]:
+                for u, code in checks:
                     m = narrowed[u] = cand[u] & fits[code]
                     if not m:
                         break
                 else:
                     img[k] = v
-                    if extend(k + 1, narrowed):
+                    if k < n - 2:
+                        if extend(k + 1):
+                            return True
+                        continue
+                    if k == n - 2:
+                        # the last mask has lost the n - 1 images before it, so it
+                        # holds one image, and that one fits every earlier image
+                        img[-1] = narrowed[-1].bit_length() - 1
+                    found.append(tuple(img))
+                    if stop:
                         return True
             return False
 
-        extend(0, start)
+        extend(0)
         return found
 
     def transitive(self) -> bool:

@@ -19,6 +19,7 @@ import pytest
 from groupgraphs.catalog import catalog
 from groupgraphs.graphs import Digraph, SimpleGraph
 from groupgraphs.groups import FiniteGroup
+from groupgraphs.symmetry import _Search, _vertices
 
 
 def petersen_graph() -> SimpleGraph:
@@ -81,6 +82,44 @@ def brute_force_automorphisms(graph: SimpleGraph | Digraph) -> list[tuple[int, .
             for v in range(n)
         ):
             found.append(p)
+    return found
+
+
+def reference_search(search: _Search, target: int | None = None) -> list[tuple[int, ...]]:
+    """The automorphism search with a fresh mask list per try, on `search`'s tables.
+
+    The plain forward-checked backtrack over `search.start`, `search.later`
+    and `search.keep`: every try copies the whole mask list, and every
+    vertex, the last one too, is placed by a recursive call.  The library's
+    kernel must return the same list, in the same order, and the same first
+    leaf for every target.
+    """
+    n, later, keep = search.n, search.later, search.keep
+    start = search.start[:]
+    stop = target is not None
+    if stop:
+        start[0] &= 1 << target
+    img = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def extend(k: int, cand: list[int]) -> bool:
+        if k == n:
+            found.append(tuple(img))
+            return stop
+        for v in _vertices(cand[k]):
+            fits = keep[v]
+            narrowed = cand[:]
+            for u, code in later[k]:
+                m = narrowed[u] = cand[u] & fits[code]
+                if not m:
+                    break
+            else:
+                img[k] = v
+                if extend(k + 1, narrowed):
+                    return True
+        return False
+
+    extend(0, start)
     return found
 
 

@@ -33,6 +33,12 @@ def test_connection_set_rejects_what_is_not_an_integer(order, members, bad) -> N
         ConnectionSet(order, members)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_connection_set_rejects_an_order_below_1(order) -> None:
+    with pytest.raises(ValueError, match=f"connection set order {order} is below 1"):
+        ConnectionSet(order)
+
+
 def test_identity_rejected_at_construction() -> None:
     group = groups.cyclic(5)
     with pytest.raises(IdentityInConnectionSet):

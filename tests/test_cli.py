@@ -507,6 +507,11 @@ CLI_OUTPUT_DIGESTS = [
     ("is-cayley --group Z7 --set '' --format table", 0, "0ace19d60efd9827c90da132458f708d85d1cc06255d013b2eb542769ac46cd8"),
     ("aut --group Z6 --set 1,5 --format json", 0, "6f3430d078d031ed71702f514d3f4ae7cf0e071891fe38391600301470d6065f"),
     ("aut --group Z6 --set 1,5 --format table", 0, "2af49bea8d57f35f30fe9ee7a8536ea248d7598c6f45585a7a2b4f6e5d673f72"),
+    # listings where most nodes of the search lead to a leaf: K8, Q3 and C16,
+    # recorded before the search kept one mask list per depth
+    ("aut --group Z8 --set 1,2,3,4,5,6,7", 0, "bdad65211e6550658f5c8a87390f05da6029c5025a9637b7294721c8959f9dab"),
+    ("aut --group Z2xZ2xZ2 --set 1,2,4 --format json", 0, "00b6b36a294530bca0db56d6ea6ca20d91f083b0478abf375c54abede50e1279"),
+    ("aut --group Z16 --set 1,15 --format json", 0, "0d3d432cde75e79e418542944f3129f398489b58b4f76b61b16b16aa0e6118f0"),
     # the theorem table over the whole catalog, and the left-fold labels of a
     # three-factor product, recorded before the catalog was spelled as specs
     ("verify", 0, "beee4bd9b62fdbda7eb98da446ab933770250cd3c10df0a74be05811e936fc76"),

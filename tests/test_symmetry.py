@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -24,6 +26,7 @@ from tests.conftest import (
     disjoint_union,
     loop130,
     petersen_graph,
+    reference_search,
     relabel,
     to_networkx,
     unfiltered_regular_subgroup,
@@ -492,6 +495,65 @@ def test_automorphism_search_matches_brute_force(graph) -> None:
     for v in range(graph.order):
         first = [p for p in expected if p[0] == v][:1]
         assert search(v) == first
+
+
+def assert_search_matches_reference(graph) -> list[tuple[int, ...]]:
+    """The search's listing, once its list and first leaves match the reference's."""
+    search = symmetry._Search(graph.rows, graph.order)
+    listing = search()
+    assert listing == reference_search(search)
+    for v in range(graph.order):
+        assert search(v) == reference_search(search, v)
+    return listing
+
+
+def degree_class_bound(graph) -> int:
+    """prod |class|! over the (out, in)-degree classes: at least |Aut|."""
+    n = graph.order
+    keys = [(graph.rows[v].bit_count(), sum(row >> v & 1 for row in graph.rows)) for v in range(n)]
+    return math.prod(math.factorial(keys.count(key)) for key in set(keys))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(random_graphs(10))
+def test_automorphism_search_matches_the_reference_kernel(graph) -> None:
+    # the reference copies n masks per node: keep the listings short
+    assume(degree_class_bound(graph) <= 5000)
+    assert_search_matches_reference(graph)
+
+
+def complete_bipartite(a: int, b: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def cliques(t: int, m: int) -> SimpleGraph:
+    return disjoint_union(*[SimpleGraph.complete(m)] * t)
+
+
+# the enumerate benchmark's families, where most nodes of the search lead to a leaf
+ENUMERATE_FAMILIES = {
+    "K8": (SimpleGraph.complete(8), 40320),
+    "K1,8": (complete_bipartite(1, 8), 40320),
+    "K5,5": (complete_bipartite(5, 5), 28800),
+    "5K2": (cliques(5, 2), 3840),
+    "co-5K2": (complement(cliques(5, 2)), 3840),
+    "3K3": (cliques(3, 3), 1296),
+    "K3,6": (complete_bipartite(3, 6), 4320),
+    "Q4": (cayley.undirected_cayley(groups.parse_group_spec("Z2xZ2xZ2xZ2"),
+                                    ConnectionSet(16, (1, 2, 4, 8))), 384),
+    "Petersen": (petersen_graph(), 120),
+    "C16": (cycle_graph(16), 32),
+    "Cay(Q8,{1,2,3})": (cayley.undirected_cayley(groups.parse_group_spec("Q8"),
+                                                 ConnectionSet(8, (1, 2, 3))), 1152),
+}
+
+
+@pytest.mark.parametrize("name", ENUMERATE_FAMILIES)
+def test_enumerate_families_match_the_reference_kernel(name) -> None:
+    graph, count = ENUMERATE_FAMILIES[name]
+    n = graph.order
+    shuffled = relabel(graph, random.Random(n).sample(range(n), n))
+    assert len(assert_search_matches_reference(shuffled)) == count
 
 
 def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
