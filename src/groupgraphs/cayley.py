@@ -118,5 +118,5 @@ def left_translation(group: FiniteGroup, a: int) -> Permutation:
     """
     if not 0 <= a < group.order:
         raise ElementOutOfRange(f"element {a} not in [0, {group.order})")
-    # every row already passed the group's Latin-square check
+    # every row of a group's table is a permutation
     return Permutation._unchecked(tuple(group.table[a].tolist()))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, TextIO
 
@@ -98,7 +99,13 @@ def _write_output(chunks: Iterable[str], path: str | None) -> None:
     """Write the chunks in order to `path` (stdout for None or "-"), then a
     newline unless the text already ends with one."""
     if path is None or path == "-":
-        _write_chunks(chunks, sys.stdout)
+        try:
+            _write_chunks(chunks, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # a reader that stopped early is no error; the flush at exit goes to os.devnull
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
     else:
         with open(path, "w", encoding="utf-8") as handle:
             _write_chunks(chunks, handle)

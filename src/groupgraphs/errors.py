@@ -26,11 +26,10 @@ class NoIdentity(GroupGraphsError):
 
 
 class NotInvertible(GroupGraphsError):
-    """A row or column of the table is not a permutation of 0..n-1."""
+    """A row of the table lacks the identity: its element has no right inverse."""
 
-    def __init__(self, axis: str, index: int):
-        super().__init__(f"{axis} {index} of the table is not a permutation of 0..n-1")
-        self.axis = axis
+    def __init__(self, index: int):
+        super().__init__(f"row {index} of the table does not hold the identity")
         self.index = index
 
 
@@ -81,10 +80,10 @@ class NotInverseClosed(GroupGraphsError):
 # -- symmetry search --------------------------------------------------------
 
 class SearchBoundExceeded(GroupGraphsError):
-    """The graph is larger than the configured search bound."""
+    """The graph exceeds the search bound, or the depth Python's recursion limit allows."""
 
-    def __init__(self, order: int, bound: int):
-        super().__init__(f"graph order {order} exceeds the search bound {bound}")
+    def __init__(self, order: int, bound: int, message: str | None = None):
+        super().__init__(message or f"graph order {order} exceeds the search bound {bound}")
         self.order = order
         self.bound = bound
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -166,13 +167,12 @@ def _regular_group(n: int, images: Sequence[tuple[int, ...]]) -> FiniteGroup | N
 
     Member v is row v of the table.  Identity 0 says it sends 0 to v, and then
     the members are closed iff the table is associative, T[i, T[j, v]] ==
-    T[T[i, j], v]; construction defers that check above order 128.
+    T[T[i, j], v], which construction checks.
     """
     members = _search_regular_subgroup(n, images)
     if members is None:
         return None
     group = FiniteGroup(members)
-    group.check_associativity()
     if group.identity != 0:
         raise ValueError("member v of a regular subgroup must send 0 to v")
     return group
@@ -186,7 +186,7 @@ def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
     n = graph.order
     row = graph.rows[0]
     connection = ConnectionSet(n, (v for v in range(n) if (row >> v) & 1))
-    # row v of the table is v's left translation u -> v * u; it passed the Latin-square check
+    # row v of the table is v's left translation u -> v * u, a permutation in a group
     vertex_map = tuple(Permutation._unchecked(tuple(images)) for images in group.table.tolist())
     return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
 
@@ -218,12 +218,12 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if group is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     for images in reversed(maps):
-        # K x Z_t, element k * t + i is (k, i): relabelled, then built and checked once
+        # K x Z_t, element k * t + i is (k, i), relabelled: a group by construction
         product = _product_table(group.table, _sum_table(len(images)))
         vertex = np.array(images).T.reshape(-1)
         table = np.empty_like(product)
         table[np.ix_(vertex, vertex)] = vertex[product]
-        group = FiniteGroup(table)
+        group = FiniteGroup._built(table)
     return _witness(graph, group)
 
 
@@ -387,7 +387,12 @@ class _Search:
                         return True
             return False
 
-        extend(0)
+        try:
+            extend(0)
+        except RecursionError:
+            # extend takes one frame per depth, and the search goes about n deep
+            raise SearchBoundExceeded(n, sys.getrecursionlimit(), f"graph order {n} needs a "
+                                      "search deeper than Python's recursion limit") from None
         return found
 
     def transitive(self) -> bool:

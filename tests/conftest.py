@@ -216,24 +216,25 @@ def naive_power_adjacency(group: FiniteGroup, x: int, y: int) -> tuple[bool, boo
     return arc, arc or x in powers_y
 
 
-def check_group_axioms(table: list[list[int]]) -> None:
-    """Assert closure, identity, inverses, and associativity by plain loops."""
+def is_group_table(table: list[list[int]]) -> bool:
+    """The group axioms by plain loops: closure, a two-sided identity,
+    two-sided inverses, and associativity."""
     n = len(table)
-    assert all(len(row) == n for row in table)
-    assert all(0 <= table[a][b] < n for a in range(n) for b in range(n))
-    identities = [
-        e
-        for e in range(n)
-        if all(table[e][g] == g and table[g][e] == g for g in range(n))
-    ]
-    assert len(identities) == 1
+    if any(len(row) != n or not all(0 <= x < n for x in row) for row in table):
+        return False
+    identities = [e for e in range(n)
+                  if all(table[e][g] == g and table[g][e] == g for g in range(n))]
+    if not identities:
+        return False
     e = identities[0]
-    for g in range(n):
-        assert any(table[g][h] == e and table[h][g] == e for h in range(n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                assert table[table[a][b]][c] == table[a][table[b][c]]
+    return (all(any(table[g][h] == e and table[h][g] == e for h in range(n)) for g in range(n))
+            and all(table[table[a][b]][c] == table[a][table[b][c]]
+                    for a in range(n) for b in range(n) for c in range(n)))
+
+
+def check_group_axioms(table: list[list[int]]) -> None:
+    """Assert the group axioms by plain loops."""
+    assert is_group_table(table)
 
 
 # A 5x5 Latin square with identity 0 that is not a group table.

@@ -395,6 +395,31 @@ def test_module_entry_point_subprocess() -> None:
     assert "Z2xZ2" in result.stdout
 
 
+def test_reader_that_stops_early_is_not_an_error() -> None:
+    # K8 lists 40320 automorphisms, far more than a pipe holds
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "groupgraphs.cli", "aut", "--group", "Z8", "--set", "1,2,3,4,5,6,7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert child.stdout.readline() == "graph 0: order 8, 40320 automorphisms\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 0
+    assert child.stderr.read() == ""
+    child.stderr.close()
+
+
+def test_search_deeper_than_the_recursion_limit_is_one_error_line(capsys) -> None:
+    # C1024: the search needs a frame per vertex, and Python allows about 1000
+    code = main(["is-cayley", "--group", "Z1024", "--set", "1,1023", "--bound", "2000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == ("error: graph order 1024 needs a search deeper than "
+                            "Python's recursion limit\n")
+
+
 # sha256 of standard output, recorded before the numpy rewrite of graph
 # construction and serialization; orders above 62 have no graph6 (exit 2).
 CLI_OUTPUT_DIGESTS = [

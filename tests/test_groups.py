@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupgraphs import groups
-from groupgraphs.catalog import catalog
+from groupgraphs.catalog import CATALOG_SPECS, catalog
 from groupgraphs.errors import (
     ElementOutOfRange,
     InvalidOrder,
@@ -28,6 +28,7 @@ from tests.conftest import (
     check_group_axioms,
     dicyclic_oracle,
     dihedral_oracle,
+    is_group_table,
     loop130,
     permutation_oracle,
 )
@@ -80,10 +81,12 @@ def test_from_table_rejects_bad_shapes_and_columns() -> None:
         groups.from_table([[0, 1]])
     with pytest.raises(InvalidOrder):
         groups.FiniteGroup([[0]], element_names=["a", "b"])
-    # rows are permutations, column 1 repeats 2
-    with pytest.raises(NotInvertible) as info:
-        groups.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
-    assert (info.value.axis, info.value.index) == ("column", 1)
+    # every row holds the identity, column 1 repeats 2: not associative
+    table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+    with pytest.raises(NotAssociative) as info:
+        groups.from_table(table)
+    a, b, c = info.value.triple
+    assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 @pytest.mark.parametrize("text", ["", "2 0 x 1 0", "0", "2 0 1 1"])
@@ -113,15 +116,23 @@ def test_from_table_rejects_non_associative_latin_square() -> None:
 
 
 def test_deferred_check_rejects_order_130_loop() -> None:
-    # a loop of order 130, so construction defers the check and Light's
-    # test runs on generators
+    # a loop of order 130: construction runs Light's test on generators
     table = loop130()
-    group = groups.from_table(table)
-    assert group.order > groups.EAGER_ASSOCIATIVITY_BOUND
     with pytest.raises(NotAssociative) as info:
-        group.check_associativity()
+        groups.from_table(table)
     a, s, c = info.value.triple
     assert table[table[a, s], c] != table[a, table[s, c]]
+
+
+def test_light_test_reaches_the_third_generator() -> None:
+    # LOOP5 x Z2 x Z2, (l, i, j) indexed as 4*l + 2*i + j: the greedy
+    # generators 1 and 2 pass, and the third, 4, fails
+    z2 = np.array([[0, 1], [1, 0]])
+    table = groups._product_table(groups._product_table(np.array(LOOP5), z2), z2)
+    with pytest.raises(NotAssociative) as info:
+        groups.from_table(table)
+    a, s, c = info.value.triple
+    assert (s, table[table[a, s], c] != table[a, table[s, c]]) == (4, True)
 
 
 SMALL_GROUPS = [(group.table.tolist(), group.identity) for group in catalog(8)]
@@ -162,10 +173,57 @@ def loops(draw) -> tuple[list[list[int]], int]:
 def test_light_test_on_generators_matches_brute_force(loop) -> None:
     table, identity = loop
     t = np.array(table, dtype=np.int16)
-    violation = groups._light_violation(t, groups._generators(t, identity))
+    violation = groups._greedy_light_violation(t, identity)
     violations = associativity_violations(table)
     assert (violation is None) == (not violations)
     assert violation is None or violation in violations
+
+
+def check_like_the_axioms(table: list[list[int]]) -> bool:
+    """Assert that FiniteGroup accepts `table` iff the plain-loop axioms
+    hold, with their inverses, and that a rejection names a real fault."""
+    n = len(table)
+    try:
+        group = groups.from_table(table)
+    except NoIdentity:
+        assert not any(all(table[e][g] == g == table[g][e] for g in range(n)) for e in range(n))
+    except NotInvertible as exc:
+        e = next(e for e in range(n) if all(table[e][g] == g == table[g][e] for g in range(n)))
+        assert e not in table[exc.index]
+    except NotAssociative as exc:
+        a, b, c = exc.triple
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+    else:
+        assert is_group_table(table)
+        e = group.identity
+        assert all(table[g][group.inverse(g)] == e == table[group.inverse(g)][g] for g in range(n))
+        return True
+    assert not is_group_table(table)
+    return False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_checks_match_the_axioms_on_every_small_table(n: int) -> None:
+    # every closed table with identity 0; Z_n is the only group among them
+    accepted = 0
+    for cells in product(range(n), repeat=(n - 1) ** 2):
+        table = [list(range(n))] + [[r, *cells[(r - 1) * (n - 1):r * (n - 1)]]
+                                    for r in range(1, n)]
+        accepted += check_like_the_axioms(table)
+    assert accepted == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(st.sampled_from(SMALL_GROUPS), st.data())
+def test_checks_match_the_axioms_on_overwritten_tables(small, data) -> None:
+    # a cell off the identity's row and column, overwritten with another
+    # element, leaves an identity but not a Latin square
+    table = [list(row) for row in small[0]]
+    n = len(table)
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1))
+    for a, b, x in data.draw(st.lists(cells, min_size=1, max_size=3)):
+        table[a][b] = x
+    check_like_the_axioms(table)
 
 
 def test_cyclic_examples() -> None:
@@ -317,9 +375,7 @@ def test_table_text_round_trip() -> None:
 
 
 def test_deferred_associativity_above_bound() -> None:
-    group = groups.cyclic(130)
-    assert group.order > groups.EAGER_ASSOCIATIVITY_BOUND
-    group.check_associativity()
+    groups.cyclic(130).check_associativity()
     groups.cyclic(1024).check_associativity()
 
 
@@ -344,6 +400,15 @@ def test_large_tables_are_narrow_and_unchanged() -> None:
         assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest, spec
 
 
+def test_built_tables_pass_the_checks() -> None:
+    # the constructors skip the closure check and Light's test
+    for spec in (*CATALOG_SPECS, *LARGE_TABLE_DIGESTS):
+        built = parse_group_spec(spec)
+        checked = groups.FiniteGroup(built.table)
+        assert checked == built, spec
+        assert (checked.identity, checked._inverses) == (built.identity, built._inverses), spec
+
+
 def test_parse_z2048_traced_peak() -> None:
     # measured 21.3 MB; the int64 table and its copies peaked at 68 MB
     tracemalloc.start()
@@ -353,6 +418,26 @@ def test_parse_z2048_traced_peak() -> None:
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+def test_light_test_stops_at_the_first_failing_generator() -> None:
+    # identity 0, x*x = 0 and x*y = x otherwise: closed, every row holds the
+    # identity, and every other element would join a greedy generating set
+    n = 1024
+    table = np.repeat(np.arange(n)[:, None], n, axis=1)
+    table[0] = np.arange(n)
+    np.fill_diagonal(table, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAssociative) as info:
+            groups.from_table(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a, s, c = info.value.triple
+    assert (s, table[table[a, s], c] != table[a, table[s, c]]) == (1, True)
+    # measured 7.5 MB: the table's own copy, then 5.5 MB for one generator's test
+    assert peak < 16e6
 
 
 def test_dihedral_relations() -> None:

@@ -232,8 +232,8 @@ def test_each_defect_of_the_kernels_selection_is_caught(n, monkeypatch) -> None:
         "too few members": rotations[:-1],
         # a group again, with identity 1: only the image-of-0 order is wrong
         "out of image-of-0 order": rotations[-1:] + rotations[:-1],
-        # at order 130 the rows of a loop (identity 0, Latin): construction
-        # defers associativity, so only the explicit check can catch them
+        # at order 130 the rows of a loop (identity 0, Latin): Light's test
+        # on generators catches them at construction
         "not closed": ([(0, 1, 2), (1, 2, 0), (2, 1, 0)] if n == 3
                        else [tuple(row) for row in loop130().tolist()]),
     }
@@ -327,6 +327,19 @@ def test_lifted_witness_groups_of_disjoint_cliques_are_pinned() -> None:
         "583085db14f8a8401848f551e2d6904020d7c3b62f5e1fbc34e553c5639d1dbb")
 
 
+def test_lifted_witness_groups_pass_the_checks() -> None:
+    # the lift builds K x Z_t relabelled, and skips the checks a table from outside gets
+    lifted = [disjoint_union(cycle_graph(4), cycle_graph(4)), complement(disjoint_cliques(2, 3)),
+              relabel(disjoint_cliques(3, 2), (0, 3, 1, 4, 2, 5))]
+    lifted += [build(disjoint_cliques(t, k)) for k in (2, 3, 4) for t in range(2, 64 // k + 1)
+               for build in (lambda graph: graph, complement)]
+    for graph in lifted:
+        group = symmetry.is_cayley(graph).group
+        checked = groups.FiniteGroup(group.table)
+        assert checked == group
+        assert (checked.identity, checked._inverses) == (group.identity, group._inverses)
+
+
 @pytest.mark.parametrize("graph, groups_built, perms_built", [
     (disjoint_cliques(3, 3), 2, 9),      # K3's cyclic group and the lift
     (cycle_graph(5), 1, 5),              # the witness group and its translations
@@ -338,11 +351,16 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
     built = {"groups": 0, "perms": 0, "graphs": 0}
     group_init, perm_init, unchecked = (groups.FiniteGroup.__init__, Permutation.__init__,
                                         Permutation._unchecked)
+    built_group = groups.FiniteGroup._built
     graph_init = graphs._BitRows.__init__
 
     def counting_group_init(self, *args, **kwargs):
         built["groups"] += 1
         group_init(self, *args, **kwargs)
+
+    def counting_built_group(cls, *args, **kwargs):     # the constructors' tables
+        built["groups"] += 1
+        return built_group(*args, **kwargs)
 
     def counting_perm_init(self, images):
         built["perms"] += 1
@@ -357,6 +375,7 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
         graph_init(self, rows)
 
     monkeypatch.setattr(groups.FiniteGroup, "__init__", counting_group_init)
+    monkeypatch.setattr(groups.FiniteGroup, "_built", classmethod(counting_built_group))
     monkeypatch.setattr(Permutation, "__init__", counting_perm_init)
     monkeypatch.setattr(Permutation, "_unchecked", classmethod(counting_unchecked))
     monkeypatch.setattr(graphs._BitRows, "__init__", counting_graph_init)
