@@ -16,7 +16,9 @@ are recognised by the ``&`` prefix or the ``>>digraph6<<`` header.
 
 Exit status: 0 when every requested check is consistent, 1 when a
 verification or decision reports an inconsistency, 2 on usage or data
-errors.  No environment variables are consulted.
+errors.  groupgraphs itself consults no environment variable; argparse's
+message lookup through ``gettext`` reads LANGUAGE, LC_ALL, LC_MESSAGES and
+LANG each time a parser is built.
 """
 
 from __future__ import annotations

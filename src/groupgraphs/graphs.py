@@ -8,11 +8,14 @@ adds only the symmetry check or its own queries, and names the shared
 methods in its own words (edge or arc).
 Whole-graph work (symmetrising, listing pairs, writing large outputs)
 goes through an n x n boolean matrix instead, built from the rows and
-packed back by the one pair of converters below, and constructors
-elsewhere hand in such a matrix.  Serialization covers the standard
-graph6/digraph6 formats for n <= 62 (one codec: they differ only in a
-prefix and a pair order), DOT output for human inspection, and JSON and
-0/1 table text at any order.  The DOT, JSON and table text comes
+packed back by the one pair of converters below.  The package's own
+builders (the graph6 decoder, the power and Cayley graphs) hand in rows
+that are valid by construction through ``_unchecked``, which skips the
+checks; ``SimpleGraph(rows)`` and ``Digraph(rows)`` keep them all.
+Serialization covers the standard graph6/digraph6 formats for n <= 62
+(one codec: they differ only in a prefix and a pair order), DOT output
+for human inspection, and JSON and 0/1 table text at any order.  The
+DOT, JSON and table text comes
 in chunks, about one per matrix row (``dot_chunks``, ``json_chunks``,
 ``table_chunks``), so a large graph can be written without holding its
 whole text; ``to_dot``, ``to_json`` and ``to_table`` join the same chunks.
@@ -79,6 +82,15 @@ class _BitRows:
             out.append(row)
         self.rows = tuple(out)
         self.order = order
+
+    @classmethod
+    def _unchecked(cls, rows: Sequence[int]):
+        """The graph on rows built valid here: ints in range, no loop and,
+        for a SimpleGraph, symmetric.  No check is run."""
+        graph = cls.__new__(cls)
+        graph.rows = tuple(rows)
+        graph.order = len(graph.rows)
+        return graph
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[int]]):
@@ -215,7 +227,7 @@ class Digraph(_BitRows):
     def underlying_undirected(self) -> SimpleGraph:
         """Forget orientation: u and v become adjacent iff either arc exists."""
         adj = _to_matrix(self.rows)
-        return SimpleGraph(_from_matrix(adj | adj.T))
+        return SimpleGraph._unchecked(_from_matrix(adj | adj.T))
 
 
 # -- graph6 / digraph6 ------------------------------------------------------
@@ -291,7 +303,8 @@ def _decode(text: str, directed: bool) -> SimpleGraph | Digraph:
         if not directed:
             rows[v] |= 1 << u
         i = bits.find("1", i + 1)
-    return (Digraph if directed else SimpleGraph)(rows)
+    # every bit is inside [0, n), loops are rejected above, and an edge sets both bits
+    return (Digraph if directed else SimpleGraph)._unchecked(rows)
 
 
 def to_graph6(graph: SimpleGraph) -> str:

@@ -380,24 +380,37 @@ def quaternion() -> FiniteGroup:
     return _index2_extension(4, 2, "Q8", ("a{}", "a{}b"))
 
 
-def _permutation_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    """The group of lex-ordered image tuples under x -> p[q[x]] for p times q.
+def _permutation_group(perms: np.ndarray, name: str) -> FiniteGroup:
+    """The group of lex-ordered image tuples, the rows of `perms`, under x -> p[q[x]].
 
-    table[i, j] is the index of perms[i] o perms[j].  A permutation's base-k
-    code orders like the permutation itself, so the codes of lex-ordered
-    perms are sorted and searchsorted maps a composed code back to its
-    index.  One row is composed at a time, which keeps the working memory
-    at O(n * k) beside the n x n table.
+    table[i, j] is the index of perms[i] o perms[j].  A permutation p of
+    0..k-1 has the base-k code sum_x p[x] * k^(k-1-x), and the code of p o q
+    is sum_y p[y] * W[y, q], where W[y, q] = k^(k-1-q^-1(y)).  So the codes
+    of a block of rows against every column are one product perms[block] @
+    W, exact in float64 below 2^53, and a dense array of k^k entries maps
+    each code back to its index.  Working memory beside the n x n table is
+    that array, smaller than the table once k >= 5, and O(block * n) for
+    blocks of about 2^16 entries.
     """
-    arr = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
-    k = arr.shape[1]
+    n, k = perms.shape
     weights = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    codes = arr @ weights
-    table = np.empty((len(perms), len(perms)), dtype=_index_dtype(len(perms)))
-    for i, p in enumerate(arr):
-        table[i] = np.searchsorted(codes, p[arr] @ weights)
-    names = ["(" + " ".join(map(str, p)) + ")" for p in perms]
+    # argsort inverts each permutation: W[y, j] is the weight of perms[j]^-1(y)
+    w = weights[np.argsort(perms, axis=1)].T.astype(np.float64)
+    index = np.zeros(k ** k, dtype=_index_dtype(n))
+    index[perms @ weights] = np.arange(n)
+    left = perms.astype(np.float64)
+    table = np.empty((n, n), dtype=index.dtype)
+    block = max(1, (1 << 16) // n)
+    for start in range(0, n, block):
+        codes = left[start:start + block] @ w
+        table[start:start + block] = index[codes.astype(np.int64)]
+    names = ["(" + " ".join(map(str, p)) + ")" for p in perms.tolist()]
     return FiniteGroup._built(table, name=name, element_names=names)
+
+
+def _lex_permutations(k: int) -> np.ndarray:
+    """Every permutation of 0..k-1 as a row of image indices, in lex order."""
+    return np.array(list(_iter_permutations(range(k))), dtype=np.int64).reshape(-1, k)
 
 
 def symmetric(k: int) -> FiniteGroup:
@@ -407,22 +420,22 @@ def symmetric(k: int) -> FiniteGroup:
     """
     if k < 1:
         raise InvalidOrder(f"symmetric group parameter must be >= 1, got {k}")
-    return _permutation_group(list(_iter_permutations(range(k))), f"S{k}")
+    return _permutation_group(_lex_permutations(k), f"S{k}")
 
 
 def alternating(k: int) -> FiniteGroup:
     """The alternating group A_k, order k!/2, even permutations in lex order.
 
-    Products compose as in symmetric(): p times q is x -> p[q[x]].
+    Products compose as in symmetric(): p times q is x -> p[q[x]].  A
+    permutation is even when it has an even number of inversions, pairs
+    i < j with p[i] > p[j], counted for every permutation in one comparison.
     """
     if k < 3:
         raise InvalidOrder(f"alternating group parameter must be >= 3, got {k}")
-    return _permutation_group(list(filter(_is_even, _iter_permutations(range(k)))), f"A{k}")
-
-
-def _is_even(p: Sequence[int]) -> bool:
-    inversions = sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
-    return inversions % 2 == 0
+    perms = _lex_permutations(k)
+    i, j = np.triu_indices(k, 1)
+    inversions = np.count_nonzero(perms[:, i] > perms[:, j], axis=1)
+    return _permutation_group(perms[inversions % 2 == 0], f"A{k}")
 
 
 def _product_table(g: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 from .catalog import MAX_CATALOG_ORDER, catalog
 from .groups import FiniteGroup
-from .powergraph import directed_power_graph
+from .powergraph import _power_graphs
 from .symmetry import is_cayley, is_vertex_transitive
 
 
@@ -58,8 +58,7 @@ def verify_group(group: FiniteGroup) -> VerificationRow:
     The identity is joined to every element, so the degree filter or the
     complete fast path settles every decision here without a search.
     """
-    dpg = directed_power_graph(group)
-    pg = dpg.underlying_undirected()
+    dpg, pg = _power_graphs(group)
     cyclic_p = group.is_cyclic_p_group()
     pg_complete = pg.is_complete()
     pg_vt = is_vertex_transitive(pg)

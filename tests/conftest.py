@@ -216,6 +216,28 @@ def naive_power_adjacency(group: FiniteGroup, x: int, y: int) -> tuple[bool, boo
     return arc, arc or x in powers_y
 
 
+def naive_power_rows(group: FiniteGroup) -> tuple[list[int], list[int]]:
+    """(directed, undirected) power graph bit-rows recomputed from the definition.
+
+    The positive powers of x are taken by iterated multiplication over
+    m = 1 .. n, at least the period of any element; y != x gets an arc
+    from x when it is one of them, and an edge when either has an arc to
+    the other.
+    """
+    n = group.order
+    powers = []
+    for x in range(n):
+        p, found = group.identity, set()
+        for _ in range(n):
+            p = group.mul(p, x)
+            found.add(p)
+        powers.append(found)
+    arc = [[y != x and y in powers[x] for y in range(n)] for x in range(n)]
+    directed = [sum(1 << y for y in range(n) if arc[x][y]) for x in range(n)]
+    undirected = [sum(1 << y for y in range(n) if arc[x][y] or arc[y][x]) for x in range(n)]
+    return directed, undirected
+
+
 def is_group_table(table: list[list[int]]) -> bool:
     """The group axioms by plain loops: closure, a two-sided identity,
     two-sided inverses, and associativity."""
@@ -308,6 +330,20 @@ def permutation_oracle(perms: list[tuple[int, ...]]) -> list[list[int]]:
     """table[i][j] is the index of x -> perms[i][perms[j][x]]."""
     index = {p: i for i, p in enumerate(perms)}
     return [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
+def searchsorted_permutation_rows(perms: list[tuple[int, ...]], rows: range) -> np.ndarray:
+    """Rows of the S_k/A_k table as the package once built them, one at a time.
+
+    Entry [i, j] is the index of x -> perms[i][perms[j][x]] for i in `rows`.
+    The base-k codes of lex-ordered perms are sorted, so searchsorted finds
+    the index of each composed code.
+    """
+    arr = np.array(perms, dtype=np.int64).reshape(len(perms), -1)
+    k = arr.shape[1]
+    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = arr @ weights
+    return np.array([np.searchsorted(codes, arr[i][arr] @ weights) for i in rows])
 
 
 def sampled_connection_sets(group: FiniteGroup) -> list[tuple[int, ...]]:

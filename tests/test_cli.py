@@ -542,6 +542,12 @@ CLI_OUTPUT_DIGESTS = [
     ("verify", 0, "beee4bd9b62fdbda7eb98da446ab933770250cd3c10df0a74be05811e936fc76"),
     ("verify --format json", 0, "c7ca545a84c473097569bbfaf59c4494267c52e96d140dec328bb3b8bd198594"),
     ("power --group Z2xZ2xZ2 --format dot", 0, "7b57d36567a2b67652ddd9b6b0c0f18ea392396b11c25e5b72a7171ff6ff23b5"),
+    # power graphs at large order, a dense one and an elementary abelian one,
+    # recorded before they were built from cyclic subgroups
+    ("power --group Z2048 --format json", 0, "3419836580a6f5e399fcaeeadefc22ef60b419022ec6feb9f138c72344565168"),
+    ("power --group Z1024 --directed --format json", 0, "0b88e6097105ad6bcf90624c085ab3f227062f30561775134132ffdb3ba94365"),
+    ("power --group S6 --format dot", 0, "f70a662582606b224c27b723d3fe1e3809a748edf445f1a4a16984a3e6f37714"),
+    ("power --group Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2 --directed --format table", 0, "6fc2d7efdc227354f77442a403cef5f17d7c307812594b4a47569fc0803303d4"),
 ]
 
 

@@ -295,6 +295,19 @@ def test_asymmetric_rows_report_the_first_pair() -> None:
         SimpleGraph([1 << 1, 0])
 
 
+def test_checked_constructors_still_reject_asymmetric_data() -> None:
+    # the package's own builders skip this check; data from outside may not
+    message = r"^adjacency not symmetric at pair \(0, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph([1 << 2, 0, 0])
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph.from_matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
+    # an edge list names each pair once and sets both of its bits
+    assert SimpleGraph.from_edges(3, [(0, 2)]).rows == (1 << 2, 0, 1)
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        SimpleGraph.from_edges(3, [(1, 1)])
+
+
 def test_graph_and_digraph_with_equal_rows_differ() -> None:
     rows = [0b110, 0b101, 0b011]
     graph, digraph = SimpleGraph(rows), Digraph(rows)

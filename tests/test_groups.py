@@ -31,6 +31,7 @@ from tests.conftest import (
     is_group_table,
     loop130,
     permutation_oracle,
+    searchsorted_permutation_rows,
 )
 
 
@@ -388,6 +389,7 @@ LARGE_TABLE_DIGESTS = {
     "A6": "8cbe6b8a6c56438b340d5445cfc818e5210bfc390f9891a9f39b04866a599e68",
     "Z2xZ1024": "bc0bd4e89b3c9552e7d42ca1c31b5766af32e64c8faad4525c52970c26444f0a",
     "S5xZ2": "64ca08b0e348c2307a3c8b10aca8b6a610e7acb19f4a090f04f763607745ab32",
+    "S6": "9ef680a36806ba180032064852147913056ccd89be166c8016944890731a6941",
 }
 
 
@@ -468,3 +470,16 @@ def test_permutation_groups_match_composition_oracle(build, k: int, even_only: b
     group = build(k)
     assert group.element_names == tuple("(" + " ".join(map(str, p)) + ")" for p in perms)
     assert group.table.tolist() == permutation_oracle(perms)
+
+
+@pytest.mark.parametrize("build, k", [(groups.symmetric, k) for k in range(1, 8)]
+                         + [(groups.alternating, k) for k in range(3, 8)])
+def test_permutation_tables_match_the_row_by_row_builder(build, k: int) -> None:
+    perms = [p for p in permutations(range(k))
+             if build is groups.symmetric
+             or sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k)) % 2 == 0]
+    group = build(k)
+    assert group.element_names == tuple("(" + " ".join(map(str, p)) + ")" for p in perms)
+    # every row up to k = 6; at k = 7 every 16th row, which meets every row block
+    rows = range(0, len(perms), 1 if k < 7 else 16)
+    assert np.array_equal(group.table[rows], searchsorted_permutation_rows(perms, rows))

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from groupgraphs import groups, powergraph
-from tests.conftest import naive_power_adjacency
+from groupgraphs.catalog import CATALOG_SPECS
+from tests.conftest import naive_power_adjacency, naive_power_rows
+
+_ORDERS = {spec: groups.parse_group_spec(spec).order for spec in CATALOG_SPECS}
+# the catalog, and its direct products of two nontrivial factors up to order 64
+RELABEL_SPECS = [*CATALOG_SPECS, *(f"{a}x{b}" for a in CATALOG_SPECS[1:] for b in CATALOG_SPECS[1:]
+                                   if _ORDERS[a] * _ORDERS[b] <= 64)]
 
 
 def test_trivial_group_power_graphs() -> None:
@@ -95,3 +105,19 @@ def test_monotone_consistency(full_catalog) -> None:
         for x in range(group.order):
             for y in range(group.order):
                 assert pg.has_edge(x, y) == (dpg.has_arc(x, y) or dpg.has_arc(y, x))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_relabelled_tables_match_the_definition(data) -> None:
+    group = groups.parse_group_spec(data.draw(st.sampled_from(RELABEL_SPECS)))
+    # element a becomes sigma[a], so the identity need not be 0
+    sigma = np.array(data.draw(st.permutations(range(group.order))))
+    table = np.empty_like(group.table)
+    table[np.ix_(sigma, sigma)] = sigma[group.table]
+    relabelled = groups.FiniteGroup(table)
+    directed, undirected = naive_power_rows(relabelled)
+    assert powergraph.directed_power_graph(relabelled).rows == tuple(directed)
+    assert powergraph.undirected_power_graph(relabelled).rows == tuple(undirected)
+    both = powergraph._power_graphs(relabelled)
+    assert [graph.rows for graph in both] == [tuple(directed), tuple(undirected)]
