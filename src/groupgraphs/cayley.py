@@ -7,26 +7,15 @@ the undirected Cayley graph is the same relation with orientation dropped.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ElementOutOfRange, IdentityInConnectionSet, NotInverseClosed
+from .errors import ElementOutOfRange, IdentityInConnectionSet, NotInverseClosed, _integer
 from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup
 from .perms import Permutation
-
-
-def _integer(value, what: str) -> int:
-    """`value` as a plain int; bools and non-integers raise ValueError."""
-    try:
-        if isinstance(value, bool):    # operator.index takes bools
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -43,12 +32,12 @@ class ConnectionSet:
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __init__(self, order: int, members: Iterable[int] = ()):
-        order = _integer(order, "connection set order")
+        order = _integer(order, "connection set order {value!r} is not an integer")
         if order < 1:
             raise ValueError(f"connection set order {order} is below 1")
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "members",
-                           frozenset(_integer(m, "connection set member") for m in members))
+        object.__setattr__(self, "members", frozenset(
+            _integer(m, "connection set member {value!r} is not an integer") for m in members))
         for m in self.members:
             if not 0 <= m < self.order:
                 raise ElementOutOfRange(

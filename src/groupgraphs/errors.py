@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check of outside input, shared across the package."""
+
+import operator
+
+
+def _integer(value, message: str, **names) -> int:
+    """`value` as a plain int, else ValueError(message.format(value=value, **names))."""
+    try:
+        if isinstance(value, bool):    # operator.index takes bools
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message.format(value=value, **names)) from None
 
 
 class GroupGraphsError(Exception):
@@ -80,10 +92,10 @@ class NotInverseClosed(GroupGraphsError):
 # -- symmetry search --------------------------------------------------------
 
 class SearchBoundExceeded(GroupGraphsError):
-    """The graph exceeds the search bound, or the depth Python's recursion limit allows."""
+    """The graph to search has more vertices than the caller's bound allows."""
 
-    def __init__(self, order: int, bound: int, message: str | None = None):
-        super().__init__(message or f"graph order {order} exceeds the search bound {bound}")
+    def __init__(self, order: int, bound: int):
+        super().__init__(f"graph order {order} exceeds the search bound {bound}")
         self.order = order
         self.bound = bound
 

@@ -24,12 +24,11 @@ whole text; ``to_dot``, ``to_json`` and ``to_table`` join the same chunks.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import MalformedEncoding, UnsupportedOrder, VertexOutOfRange
+from .errors import MalformedEncoding, UnsupportedOrder, VertexOutOfRange, _integer
 
 GRAPH6_MAX_ORDER = 62
 
@@ -71,10 +70,7 @@ class _BitRows:
         full = (1 << order) - 1
         out = []
         for v, row in enumerate(rows):
-            try:
-                row = operator.index(row)
-            except TypeError:
-                raise ValueError(f"row {v} is {row!r}, not an integer") from None
+            row = _integer(row, "row {v} is {value!r}, not an integer", v=v)
             if row & ~full:
                 raise VertexOutOfRange(f"row {v} has bits set outside [0, {order})")
             if (row >> v) & 1:
@@ -142,8 +138,10 @@ class _BitRows:
 
 def _from_pairs(cls, order: int, pairs: Iterable[tuple[int, int]]):
     """``from_edges``/``from_arcs``: an undirected pair sets both bits."""
+    order = _integer(order, "graph order {value!r} is not an integer")
     rows = [0] * order
     for u, v in pairs:
+        u, v = (_integer(x, "vertex {value!r} is not an integer") for x in (u, v))
         if not (0 <= u < order and 0 <= v < order):
             raise VertexOutOfRange(f"{cls._pair} ({u}, {v}) not inside [0, {order})")
         if u == v:

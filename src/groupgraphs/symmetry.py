@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .cayley import ConnectionSet, directed_cayley, undirected_cayley
 from .errors import SearchBoundExceeded
-from .graphs import Digraph, SimpleGraph, _from_matrix, _to_matrix
+from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup, _product_table, _sum_table, cyclic
 from .perms import Permutation
 
@@ -326,14 +325,18 @@ class _Search:
     is never entered: the list and its order are the plain backtrack's.
     Each depth keeps one list of masks, which its tries overwrite, and the
     last vertex takes the one image left in its mask with no further try.
-    Building one is the only check of the search bound.
+    One loop with a stack of untried images drives it, so building a search,
+    the only check of its bound, is the only limit on its depth.
     """
 
     def __init__(self, rows: Sequence[int], bound: int):
         n = self.n = len(rows)
         if n > bound:
             raise SearchBoundExceeded(n, bound)
-        cols = _from_matrix(_to_matrix(rows).T)  # bit u of cols[v] joins u to v
+        cols = [0] * n  # bit u of cols[v] joins u to v
+        for u, row in enumerate(rows):
+            for v in _vertices(row):
+                cols[v] |= 1 << u
         keys = [(rows[v].bit_count(), cols[v].bit_count()) for v in range(n)]
         classes: dict[tuple[int, int], int] = {}
         for v, key in enumerate(keys):
@@ -350,19 +353,21 @@ class _Search:
         """All automorphisms in lexicographic order; with a `target`, vertex 0
         maps only to it and the search stops at the first leaf: the result is
         one automorphism 0 -> target, or none."""
-        n, later, keep = self.n, self.later, self.keep
+        n, keep = self.n, self.keep
         stop = target is not None
         # masks[k] holds the masks of vertices k.. at depth k; each try at depth
         # k overwrites those of k + 1.. in masks[k + 1], which only depth k + 1 reads
         masks = [self.start[:]] + [[0] * n for _ in range(n)]
         if stop:
             masks[0][0] &= 1 << target
+        frames = list(zip(masks, masks[1:], self.later))  # what depth k reads and writes
         img = [0] * n
         found: list[tuple[int, ...]] = []
-
-        def extend(k: int) -> bool:
-            cand, narrowed, checks = masks[k], masks[k + 1], later[k]
-            left = cand[k]
+        stack = [masks[0][0]]  # the untried images of each unfinished depth
+        while stack:
+            left = stack.pop()
+            k = len(stack)
+            cand, narrowed, checks = frames[k]
             while left:
                 low = left & -left
                 left ^= low
@@ -375,8 +380,10 @@ class _Search:
                 else:
                     img[k] = v
                     if k < n - 2:
-                        if extend(k + 1):
-                            return True
+                        stack.append(left)
+                        k += 1
+                        cand, narrowed, checks = frames[k]
+                        left = cand[k]
                         continue
                     if k == n - 2:
                         # the last mask has lost the n - 1 images before it, so it
@@ -384,15 +391,7 @@ class _Search:
                         img[-1] = narrowed[-1].bit_length() - 1
                     found.append(tuple(img))
                     if stop:
-                        return True
-            return False
-
-        try:
-            extend(0)
-        except RecursionError:
-            # extend takes one frame per depth, and the search goes about n deep
-            raise SearchBoundExceeded(n, sys.getrecursionlimit(), f"graph order {n} needs a "
-                                      "search deeper than Python's recursion limit") from None
+                        return found
         return found
 
     def transitive(self) -> bool:

@@ -411,15 +411,6 @@ def test_reader_that_stops_early_is_not_an_error() -> None:
     child.stderr.close()
 
 
-def test_search_deeper_than_the_recursion_limit_is_one_error_line(capsys) -> None:
-    # C1024: the search needs a frame per vertex, and Python allows about 1000
-    code = main(["is-cayley", "--group", "Z1024", "--set", "1,1023", "--bound", "2000"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert captured.err == ("error: graph order 1024 needs a search deeper than "
-                            "Python's recursion limit\n")
-
-
 # sha256 of standard output, recorded before the numpy rewrite of graph
 # construction and serialization; orders above 62 have no graph6 (exit 2).
 CLI_OUTPUT_DIGESTS = [

@@ -51,6 +51,25 @@ def test_from_edges_rejects_loops_and_bad_vertices() -> None:
         SimpleGraph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimpleGraph.from_edges(3, [(0, 1.0)]), "vertex 1.0 is not an integer"),
+    (lambda: SimpleGraph.from_edges(3, [(0, "1")]), "vertex '1' is not an integer"),
+    (lambda: SimpleGraph.from_edges(2.0, [(0, 1)]), "graph order 2.0 is not an integer"),
+    (lambda: SimpleGraph([2, True, 0]), "row 1 is True, not an integer"),
+    (lambda: Digraph.from_arcs(3, [(0, True)]), "vertex True is not an integer"),
+])
+def test_graph_entry_points_reject_what_is_not_an_integer(build, message) -> None:
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_from_edges_takes_numpy_integers() -> None:
+    graph = Digraph.from_arcs(np.int64(3), [(np.uint8(0), np.int32(2))])
+    assert graph == Digraph.from_arcs(3, [(0, 2)])
+    assert type(graph.rows[0]) is int
+
+
 def test_cycle_is_regular() -> None:
     c5 = SimpleGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     assert c5.is_regular()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -104,6 +105,28 @@ def test_automorphisms_bound() -> None:
         symmetry.automorphisms(path)
     assert (raised.value.order, raised.value.bound) == (17, 16)
     assert len(symmetry.automorphisms(path, bound=17)) == 2
+
+
+def test_search_deeper_than_the_recursion_limit_answers() -> None:
+    # the kernel is one loop, so only the bound limits a search's depth: here
+    # the recursion limit allows 50 frames more than the test already holds
+    c300 = cycle_graph(300)
+    directed = Digraph.from_arcs(100, [(i, (i + 1) % 100) for i in range(100)])
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 50)
+    try:
+        transitive = symmetry.is_vertex_transitive(c300, bound=300)
+        found = symmetry._Search(c300.rows, 300)(150)
+        auts = symmetry.automorphisms(directed, bound=100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert transitive
+    assert [p[:2] for p in found] in ([(150, 149)], [(150, 151)])
+    assert [p.images for p in auts] == [tuple((x + r) % 100 for x in range(100))
+                                        for r in range(100)]
 
 
 def test_vertex_transitivity_bound() -> None:
@@ -524,6 +547,16 @@ def assert_search_matches_reference(graph) -> list[tuple[int, ...]]:
     for v in range(graph.order):
         assert search(v) == reference_search(search, v)
     return listing
+
+
+SMALLEST_RELATIONS = [SimpleGraph([0]), Digraph([0]), SimpleGraph([0, 0]), SimpleGraph([2, 1]),
+                      Digraph([0, 0]), Digraph([2, 0]), Digraph([0, 1]), Digraph([2, 1])]
+
+
+@pytest.mark.parametrize("graph", SMALLEST_RELATIONS, ids=repr)
+def test_search_of_one_or_two_vertices_matches_the_reference_kernel(graph) -> None:
+    # the last vertex is placed inline at depth n - 2, and depth 0 has no later vertex when n = 1
+    assert assert_search_matches_reference(graph) == brute_force_automorphisms(graph)
 
 
 def degree_class_bound(graph) -> int:
