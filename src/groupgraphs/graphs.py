@@ -64,9 +64,7 @@ class _BitRows:
     _pair: str
 
     def __init__(self, rows: Sequence[int]):
-        order = len(rows)
-        if order < 1:
-            raise ValueError(f"graph order must be positive, got {order}")
+        order = _order(len(rows))
         full = (1 << order) - 1
         out = []
         for v, row in enumerate(rows):
@@ -136,9 +134,17 @@ class _BitRows:
         return f"<{type(self).__name__} n={self.order} {self._pair}s={self._pair_count()}>"
 
 
+def _order(order: int) -> int:
+    """`order` as a positive plain int, else a ValueError naming the value given."""
+    order = _integer(order, "graph order {value!r} is not an integer")
+    if order < 1:
+        raise ValueError(f"graph order must be positive, got {order}")
+    return order
+
+
 def _from_pairs(cls, order: int, pairs: Iterable[tuple[int, int]]):
     """``from_edges``/``from_arcs``: an undirected pair sets both bits."""
-    order = _integer(order, "graph order {value!r} is not an integer")
+    order = _order(order)
     rows = [0] * order
     for u, v in pairs:
         u, v = (_integer(x, "vertex {value!r} is not an integer") for x in (u, v))
@@ -176,12 +182,13 @@ class SimpleGraph(_BitRows):
 
     @classmethod
     def complete(cls, order: int) -> SimpleGraph:
+        order = _order(order)
         full = (1 << order) - 1
         return cls([full & ~(1 << v) for v in range(order)])
 
     @classmethod
     def edgeless(cls, order: int) -> SimpleGraph:
-        return cls([0] * order)
+        return cls([0] * _order(order))
 
     def neighbors(self, v: int) -> list[int]:
         row = self.rows[self._check_vertex(v)]

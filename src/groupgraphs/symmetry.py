@@ -14,8 +14,14 @@ image tuples.  Their output order is lexicographic and deterministic.
 Each searches only for what its question needs.  The regular-subgroup
 search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
-The automorphism search (`_Search`) builds its tables once per graph and
-answers vertex-transitivity without listing the group.
+The automorphism search (`_Search`) builds its tables once per graph,
+answers vertex-transitivity without listing the group, and yields its
+leaves one at a time.  `is_cayley` lists no group either: the candidates
+for vertex v are drawn lazily, only when the selection reaches v, from a
+targeted search 0 -> v that skips every leaf with a fixed point, which
+gives the filtered candidates of the listing in the same lex order.  Each
+drawn search stays suspended until the selection ends, holding n + 1 mask
+lists of n ints (about 290 MB at C_1024).
 
 Both questions run one reduction first (`_reduce`).  The components of
 Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and t copies
@@ -32,9 +38,8 @@ no complement is searched for components.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,8 +166,8 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     return [Permutation._unchecked(p) for p in members]
 
 
-def _regular_group(n: int, images: Sequence[tuple[int, ...]]) -> FiniteGroup | None:
-    """The regular subgroup the kernel selects from lex-ordered `images`, or None.
+def _regular_group(n: int, images: _Search | Sequence[tuple[int, ...]]) -> FiniteGroup | None:
+    """The regular subgroup the kernel selects from `images`, or None.
 
     Member v is row v of the table.  Identity 0 says it sends 0 to v, and then
     the members are closed iff the table is associative, T[i, T[j, v]] ==
@@ -204,7 +209,10 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     3. a disconnected graph is decided on the component of vertex 0, once
        every other component is a copy of it, else NotVertexTransitive;
     4. vertex-transitivity (`_Search.transitive`), else NotVertexTransitive;
-    5. a regular subgroup of the automorphisms (`_regular_group`), else NoRegularSubgroup.
+    5. a regular subgroup of the automorphisms (`_regular_group`), else
+       NoRegularSubgroup; its candidates for each vertex v are drawn lazily
+       from the targeted search 0 -> v with no fixed point, and the group
+       is never listed.
 
     `bound` limits each searched graph: the union of two components, or
     the connected graph left.  The cheap paths decide graphs of any order.
@@ -213,7 +221,7 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if isinstance(reduced, NotCayley):
         return reduced
     order, search, maps = reduced
-    group = cyclic(order) if search is None else _regular_group(order, search())
+    group = cyclic(order) if search is None else _regular_group(order, search)
     if group is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     for images in reversed(maps):
@@ -326,7 +334,9 @@ class _Search:
     Each depth keeps one list of masks, which its tries overwrite, and the
     last vertex takes the one image left in its mask with no further try.
     One loop with a stack of untried images drives it, so building a search,
-    the only check of its bound, is the only limit on its depth.
+    the only check of its bound, is the only limit on its depth.  The loop
+    is a generator (`leaves`): a listing is list() of it, a targeted search
+    its first leaf, and a draw one more leaf of a suspended loop.
     """
 
     def __init__(self, rows: Sequence[int], bound: int):
@@ -353,17 +363,26 @@ class _Search:
         """All automorphisms in lexicographic order; with a `target`, vertex 0
         maps only to it and the search stops at the first leaf: the result is
         one automorphism 0 -> target, or none."""
+        if target is None:
+            return list(self.leaves())
+        first = next(self.leaves(target), None)
+        return [] if first is None else [first]
+
+    def leaves(self, target: int | None = None,
+               moving: bool = False) -> Iterator[tuple[int, ...]]:
+        """The automorphisms, in lexicographic order, as the loop reaches them;
+        with a `target`, only those sending 0 to it, and with `moving`, only
+        those that fix no vertex (each vertex's own bit leaves its mask)."""
         n, keep = self.n, self.keep
-        stop = target is not None
+        start = [m & ~(1 << u) for u, m in enumerate(self.start)] if moving else self.start[:]
+        if target is not None:
+            start[0] &= 1 << target
         # masks[k] holds the masks of vertices k.. at depth k; each try at depth
         # k overwrites those of k + 1.. in masks[k + 1], which only depth k + 1 reads
-        masks = [self.start[:]] + [[0] * n for _ in range(n)]
-        if stop:
-            masks[0][0] &= 1 << target
+        masks = [start] + [[0] * n for _ in range(n)]
         frames = list(zip(masks, masks[1:], self.later))  # what depth k reads and writes
         img = [0] * n
-        found: list[tuple[int, ...]] = []
-        stack = [masks[0][0]]  # the untried images of each unfinished depth
+        stack = [start[0]]  # the untried images of each unfinished depth
         while stack:
             left = stack.pop()
             k = len(stack)
@@ -389,10 +408,7 @@ class _Search:
                         # the last mask has lost the n - 1 images before it, so it
                         # holds one image, and that one fits every earlier image
                         img[-1] = narrowed[-1].bit_length() - 1
-                    found.append(tuple(img))
-                    if stop:
-                        return found
-        return found
+                    yield tuple(img)
 
     def transitive(self) -> bool:
         """True iff some automorphism sends 0 to each vertex v: one targeted
@@ -437,29 +453,48 @@ def _semiregular(p: tuple[int, ...]) -> bool:
 
 
 def _search_regular_subgroup(
-    n: int, perms: Sequence[tuple[int, ...]]
+    n: int, perms: _Search | Sequence[tuple[int, ...]]
 ) -> list[tuple[int, ...]] | None:
     """A subgroup of `perms` with exactly one member sending 0 to each vertex.
 
-    `perms` must be a full automorphism list (closed under composition).
-    Backtracks over the candidates for the lowest unresolved vertex, in the
-    given order.  The candidates chosen so far generate the selection: a
-    choice stands iff no two members of the group they generate send 0 to
-    the same vertex.  Returns the members ordered by their image of 0, or
-    None.
+    `perms` is an automorphism search, or a lex-ordered list closed under
+    composition.  Backtracks over the candidates for the lowest unresolved
+    vertex v, in lex order.  From a search they are the leaves of its
+    targeted search 0 -> v with no fixed point (the list's bucket of v,
+    less what the semiregular filter drops anyway), drawn lazily, one at a
+    time when the selection reaches v, and kept for its later returns to v.
+    No group is listed; each drawn search stays suspended, holding n + 1
+    mask lists of n ints, until the selection ends.  The candidates chosen
+    so far generate the selection: a choice stands iff no two members of
+    the group they generate send 0 to the same vertex.  Returns the members
+    ordered by their image of 0, or None.
     """
     identity = tuple(range(n))
-    if identity not in perms:
-        return None
-
-    cand: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for p in perms:
-        cand[p[0]].append(p)
-    if any(not c for c in cand):
-        return None  # not even transitive
+    sources: Sequence[Iterable[tuple[int, ...]]]
+    if isinstance(perms, _Search):
+        sources = [perms.leaves(v, moving=True) for v in range(n)]
+    else:
+        if identity not in perms:
+            return None
+        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+        for p in perms:
+            buckets[p[0]].append(p)
+        if any(not b for b in buckets):
+            return None  # not even transitive
+        sources = buckets
     # every selection the search can complete is a regular group, whose non-identity
-    # members are semiregular: no other candidate can succeed (checked once, when tried)
-    semiregular = functools.cache(_semiregular)
+    # members are semiregular: no other candidate can succeed (checked once, when drawn)
+    draws = [filter(_semiregular, source) for source in sources]
+    drawn: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+
+    def candidates(v: int) -> Iterator[tuple[int, ...]]:
+        """v's semiregular candidates in order: those drawn on earlier visits,
+        then new draws.  The lowest open vertex rises with the depth, so no
+        two of these run at once for one v."""
+        yield from drawn[v]
+        for p in draws[v]:
+            drawn[v].append(p)
+            yield p
 
     def generate(sel: list[tuple[int, ...] | None],
                  gens: list[tuple[int, ...]]) -> list[tuple[int, ...] | None] | None:
@@ -485,7 +520,7 @@ def _search_regular_subgroup(
         if None not in sel:
             return sel
         v = sel.index(None)
-        for p in filter(semiregular, cand[v]):
+        for p in candidates(v):
             nxt = generate(sel, gens + [p])
             if nxt is not None:
                 result = extend(gens + [p], nxt)

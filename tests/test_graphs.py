@@ -57,6 +57,13 @@ def test_from_edges_rejects_loops_and_bad_vertices() -> None:
     (lambda: SimpleGraph.from_edges(2.0, [(0, 1)]), "graph order 2.0 is not an integer"),
     (lambda: SimpleGraph([2, True, 0]), "row 1 is True, not an integer"),
     (lambda: Digraph.from_arcs(3, [(0, True)]), "vertex True is not an integer"),
+    # an order below 1 is named as given, by every constructor that takes one
+    (lambda: SimpleGraph.from_edges(-3, []), "graph order must be positive, got -3"),
+    (lambda: SimpleGraph.from_edges(-3, [(0, 1)]), "graph order must be positive, got -3"),
+    (lambda: Digraph.from_arcs(0, [(0, 1)]), "graph order must be positive, got 0"),
+    (lambda: SimpleGraph.edgeless(-3), "graph order must be positive, got -3"),
+    (lambda: SimpleGraph.complete(-3), "graph order must be positive, got -3"),
+    (lambda: SimpleGraph.complete(2.0), "graph order 2.0 is not an integer"),
 ])
 def test_graph_entry_points_reject_what_is_not_an_integer(build, message) -> None:
     with pytest.raises(ValueError) as raised:

@@ -199,13 +199,15 @@ def test_generalized_petersen_graphs_follow_the_classification(n, k, monkeypatch
     assert order == EXCEPTIONAL_GROUP_ORDERS.get((n, k), 4 * n if rotary else 2 * n)
     assert symmetry.is_vertex_transitive(graph, bound=40) == transitive
     searches = []
-    search = symmetry._Search.__call__
+    leaves = symmetry._Search.leaves
 
-    def counting(self, target=None):
-        searches.append(target)
-        return search(self, target)
+    def counting(self, target=None, moving=False):
+        searches.append((target, moving))
+        return leaves(self, target, moving)
 
-    monkeypatch.setattr(symmetry._Search, "__call__", counting)
+    monkeypatch.setattr(symmetry._Search, "leaves", counting)
     assert bool(symmetry.is_cayley(graph, bound=40)) == (square == 1)
-    # a graph that is not vertex-transitive is rejected before the group is listed
-    assert searches.count(None) == int(transitive)
+    # is_cayley never lists the group, and a graph that is not vertex-transitive
+    # is rejected before any candidate for a regular subgroup is drawn
+    assert [target for target, _ in searches].count(None) == 0
+    assert any(moving for _, moving in searches) == transitive

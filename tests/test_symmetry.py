@@ -765,3 +765,54 @@ def test_semiregular_filter_never_changes_the_kernel_result(graph, data) -> None
     drop = data.draw(st.integers(0, len(images) - 1))
     partial = images[:drop] + images[drop + 1:]
     assert symmetry._search_regular_subgroup(n, partial) == unfiltered_regular_subgroup(n, partial)
+
+
+# -- candidates drawn lazily from targeted searches --------------------------------
+
+@st.composite
+def relabelled_cayley_graphs(draw):
+    graph = draw(cayley_graphs(9))
+    return relabel(graph, draw(st.permutations(range(graph.order))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.one_of(relabelled_cayley_graphs(), random_graphs(9)))
+def test_lazy_draws_are_the_moving_buckets_of_the_listing(graph) -> None:
+    # the listing of K9 has 9! leaves
+    assume(degree_class_bound(graph) <= 5000)
+    n = graph.order
+    search = symmetry._Search(graph.rows, n)
+    listing = search()
+    assert listing == sorted(listing)
+    for v in range(n):
+        moving = [p for p in listing if p[0] == v and all(p[x] != x for x in range(n))]
+        assert list(search.leaves(v, moving=True)) == moving
+    assert (symmetry._search_regular_subgroup(n, search)
+            == symmetry._search_regular_subgroup(n, listing))
+
+
+def hypercube(d: int) -> SimpleGraph:
+    group = groups.parse_group_spec("x".join(["Z2"] * d))
+    return cayley.undirected_cayley(group, ConnectionSet(2 ** d, [1 << i for i in range(d)]))
+
+
+FIRST_SUBGROUP_CASES = {
+    "Q4": (hypercube(4), 16),
+    "Q5": (hypercube(5), 32),
+    "C16": (cycle_graph(16), 16),
+    "Cay(Z12,{1,5,7,11})": (circulant(12, (1, 5, 7, 11)), 12),
+    "6K2": (SimpleGraph.from_edges(12, [(2 * i, 2 * i + 1) for i in range(6)]), 12),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_SUBGROUP_CASES)
+def test_lazy_draws_select_the_listings_first_subgroup(name) -> None:
+    graph, bound = FIRST_SUBGROUP_CASES[name]
+    n = graph.order
+    listed = [list(p.images) for p in
+              symmetry.find_regular_subgroup(symmetry.automorphisms(graph, bound), n)]
+    drawn = symmetry._regular_group(n, symmetry._Search(graph.rows, bound))
+    assert drawn.table.tolist() == listed
+    if len(symmetry._components(graph.rows)) == 1:
+        # stage 5 searches the graph itself; 6K2 is decided on one K2 and lifted
+        assert symmetry.is_cayley(graph, bound).group.table.tolist() == listed
