@@ -115,7 +115,5 @@ def left_translation(group: FiniteGroup, a: int) -> Permutation:
     the group, because (a*g)^-1 * (a*h) = g^-1 * h; together they act
     transitively and freely on the vertices.
     """
-    if not 0 <= a < group.order:
-        raise ElementOutOfRange(f"element {a} not in [0, {group.order})")
     # every row of a group's table is a permutation
-    return Permutation._unchecked(tuple(group.table[a].tolist()))
+    return Permutation._unchecked(tuple(group.table[group._check_element(a)].tolist()))

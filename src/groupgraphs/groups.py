@@ -33,6 +33,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
     NotInvertible,
+    _integer,
 )
 
 # Up to this order check_associativity() takes every element as a generator,
@@ -193,7 +194,7 @@ class FiniteGroup:
         return self._table
 
     def _check_element(self, g: int) -> int:
-        g = int(g)
+        g = _integer(g, "element {value!r} is not an integer")
         if not 0 <= g < self.order:
             raise ElementOutOfRange(f"element {g} not in [0, {self.order})")
         return g
@@ -207,6 +208,7 @@ class FiniteGroup:
     def power(self, g: int, m: int) -> int:
         """g**m by binary exponentiation; g**0 is the identity."""
         g = self._check_element(g)
+        m = _integer(m, "exponent {value!r} is not an integer")
         if m < 0:
             raise ValueError("exponent must be non-negative")
         result = self.identity

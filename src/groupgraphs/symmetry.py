@@ -16,12 +16,12 @@ search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
 The automorphism search (`_Search`) builds its tables once per graph,
 answers vertex-transitivity without listing the group, and yields its
-leaves one at a time.  `is_cayley` lists no group either: the candidates
-for vertex v are drawn lazily, only when the selection reaches v, from a
-targeted search 0 -> v that skips every leaf with a fixed point, which
-gives the filtered candidates of the listing in the same lex order.  Each
-drawn search stays suspended until the selection ends, holding n + 1 mask
-lists of n ints (about 290 MB at C_1024).
+leaves one at a time from one generator, `leaves`.  `is_cayley` lists no
+group either: the candidates for vertex v are drawn lazily, only when the
+selection reaches v, from a targeted search 0 -> v that skips every leaf
+with a fixed point, which gives the filtered candidates of the listing in
+the same lex order.  Each drawn search stays suspended until the selection
+ends, holding n + 1 mask lists of n ints (about 290 MB at C_1024).
 
 Both questions run one reduction first (`_reduce`).  The components of
 Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and t copies
@@ -125,8 +125,9 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     digraphs.  The list always contains the identity and is closed under
     composition and inversion.
     """
+    leaves = list(_Search(graph.rows, bound).leaves())
     # each leaf of the search is a bijection: an image leaves every later mask
-    return [Permutation._unchecked(p) for p in _Search(graph.rows, bound)()]
+    return [Permutation._unchecked(p) for p in leaves]
 
 
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
@@ -274,10 +275,10 @@ def _reduce(graph: Graph, bound: int) -> tuple[int, _Search | None, list] | NotC
         images = [first]
         for component in components[1:]:
             union = first + _vertices(component)
-            found = _Search(_induced(rows, union), bound)(order)
-            if not found:
+            found = next(_Search(_induced(rows, union), bound).leaves(order), None)
+            if found is None:
                 return NotCayley(NotCayleyReason.NOT_VERTEX_TRANSITIVE)
-            images.append([union[x] for x in found[0][:order]])
+            images.append([union[x] for x in found[:order]])
         maps.append(images)
         rows = _induced(rows, first)
 
@@ -335,8 +336,9 @@ class _Search:
     last vertex takes the one image left in its mask with no further try.
     One loop with a stack of untried images drives it, so building a search,
     the only check of its bound, is the only limit on its depth.  The loop
-    is a generator (`leaves`): a listing is list() of it, a targeted search
-    its first leaf, and a draw one more leaf of a suspended loop.
+    is the generator `leaves`, the search's one entry: a listing is list()
+    of it, a targeted search its first leaf, and a draw one more leaf of a
+    suspended loop.
     """
 
     def __init__(self, rows: Sequence[int], bound: int):
@@ -358,15 +360,6 @@ class _Search:
         # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
         self.keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r)
                      for v, (r, c) in enumerate(zip(rows, cols))]
-
-    def __call__(self, target: int | None = None) -> list[tuple[int, ...]]:
-        """All automorphisms in lexicographic order; with a `target`, vertex 0
-        maps only to it and the search stops at the first leaf: the result is
-        one automorphism 0 -> target, or none."""
-        if target is None:
-            return list(self.leaves())
-        first = next(self.leaves(target), None)
-        return [] if first is None else [first]
 
     def leaves(self, target: int | None = None,
                moving: bool = False) -> Iterator[tuple[int, ...]]:
@@ -425,10 +418,10 @@ class _Search:
         for v in range(1, self.n):
             if root(v) == root(0):
                 continue
-            found = self(v)
-            if not found:
+            found = next(self.leaves(v), None)
+            if found is None:
                 return False
-            for x, y in enumerate(found[0]):
+            for x, y in enumerate(found):
                 orbit[root(x)] = root(y)
         return True
 

@@ -154,6 +154,10 @@ def test_left_translation_identity_and_shift() -> None:
     assert shift.images == (1, 2, 3, 0)
     with pytest.raises(ElementOutOfRange):
         cayley.left_translation(z4, 4)
+    for element in (1.5, "1"):
+        with pytest.raises(ValueError) as raised:
+            cayley.left_translation(z4, element)
+        assert str(raised.value) == f"element {element!r} is not an integer"
 
 
 def test_left_translation_preserves_s3_transposition_arcs() -> None:

@@ -237,6 +237,15 @@ def test_witness_file_is_json_dumps_with_indent_2(capsys, tmp_path: Path) -> Non
     assert text == json.dumps(payload, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("value", [
+    {}, [], [True, False], [1, True],
+    {"cayley": True, "connection_set": [], "vertex_map": [[0, 1], [1, 0]],
+     "extra": {}, "names": None, "mixed": [[], {}, [2, None]]},
+], ids=repr)
+def test_indented_json_is_json_dumps_with_indent_2(value) -> None:
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
 def test_power_z2048_json_traced_peak(tmp_path: Path) -> None:
     # measured 22.7 MB; the text joined whole and an int64 table peaked near 85 MB
     out = tmp_path / "power.json"

@@ -284,6 +284,9 @@ def test_power_examples() -> None:
         z6.power(6, 1)
     with pytest.raises(ValueError, match="non-negative"):
         z6.power(1, -1)
+    with pytest.raises(ValueError) as raised:
+        z6.power(1, 2.5)
+    assert str(raised.value) == "exponent 2.5 is not an integer"
 
 
 def test_power_matches_iterated_multiplication() -> None:
@@ -305,6 +308,17 @@ def test_element_order_examples() -> None:
     assert len(transpositions) == 3
     with pytest.raises(ElementOutOfRange):
         s3.element_order(-1)
+    # element indices pass the package's one integer check: no float, string or bool
+    z6 = groups.cyclic(6)
+    calls = [(lambda: z6.mul(1.7, 2), "element 1.7 is not an integer"),
+             (lambda: z6.inverse("1"), "element '1' is not an integer"),
+             (lambda: z6.inverse(True), "element True is not an integer"),
+             (lambda: z6.element_order(2.0), "element 2.0 is not an integer")]
+    for call, message in calls:
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+    assert z6.mul(np.int64(1), 2) == 3
 
 
 def test_cyclic_subgroup_examples() -> None:
@@ -342,6 +356,8 @@ def test_classification_examples() -> None:
 
 def test_trivial_group_is_cyclic_p_group() -> None:
     assert groups.cyclic(1).is_cyclic_p_group()
+    # order 1 is no prime power p**k with k >= 1; trial division would never end
+    assert groups.cyclic(1).p_group_prime() is None
 
 
 def test_cyclic_prime_powers_are_cyclic_p_groups() -> None:

@@ -6,7 +6,7 @@ import hashlib
 import math
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
@@ -119,7 +119,7 @@ def test_search_deeper_than_the_recursion_limit_answers() -> None:
     sys.setrecursionlimit(depth + 50)
     try:
         transitive = symmetry.is_vertex_transitive(c300, bound=300)
-        found = symmetry._Search(c300.rows, 300)(150)
+        found = list(islice(symmetry._Search(c300.rows, 300).leaves(150), 1))
         auts = symmetry.automorphisms(directed, bound=100)
     finally:
         sys.setrecursionlimit(limit)
@@ -536,16 +536,16 @@ def test_automorphism_search_matches_brute_force(graph) -> None:
     search = symmetry._Search(graph.rows, graph.order)
     for v in range(graph.order):
         first = [p for p in expected if p[0] == v][:1]
-        assert search(v) == first
+        assert list(islice(search.leaves(v), 1)) == first
 
 
 def assert_search_matches_reference(graph) -> list[tuple[int, ...]]:
     """The search's listing, once its list and first leaves match the reference's."""
     search = symmetry._Search(graph.rows, graph.order)
-    listing = search()
+    listing = list(search.leaves())
     assert listing == reference_search(search)
     for v in range(graph.order):
-        assert search(v) == reference_search(search, v)
+        assert list(islice(search.leaves(v), 1)) == reference_search(search, v)
     return listing
 
 
@@ -611,18 +611,18 @@ def test_enumerate_families_match_the_reference_kernel(name) -> None:
 def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
     graph = circulant(64, (1, 5, 9, 55, 59, 63))
     built, searches = [], []
-    init, search = symmetry._Search.__init__, symmetry._Search.__call__
+    init, leaves = symmetry._Search.__init__, symmetry._Search.leaves
 
     def counting_init(self, rows, bound):
         built.append(len(rows))
         init(self, rows, bound)
 
-    def counting(self, target=None):
+    def counting(self, target=None, moving=False):
         searches.append(target)
-        return search(self, target)
+        return leaves(self, target, moving)
 
     monkeypatch.setattr(symmetry._Search, "__init__", counting_init)
-    monkeypatch.setattr(symmetry._Search, "__call__", counting)
+    monkeypatch.setattr(symmetry._Search, "leaves", counting)
     assert symmetry.is_vertex_transitive(graph, bound=64)
     # the reflections x -> 1 - x and x -> 2 - x, found for targets 1 and 2,
     # generate every rotation, so 61 searches are skipped
@@ -782,7 +782,7 @@ def test_lazy_draws_are_the_moving_buckets_of_the_listing(graph) -> None:
     assume(degree_class_bound(graph) <= 5000)
     n = graph.order
     search = symmetry._Search(graph.rows, n)
-    listing = search()
+    listing = list(search.leaves())
     assert listing == sorted(listing)
     for v in range(n):
         moving = [p for p in listing if p[0] == v and all(p[x] != x for x in range(n))]
