@@ -12,6 +12,7 @@ first, then abelian products, then the non-abelian groups).
 
 from __future__ import annotations
 
+from .errors import _integer
 from .groups import FiniteGroup, parse_group_spec
 
 #: Number of groups of each order 1..15, up to isomorphism.
@@ -39,6 +40,7 @@ def catalog(max_order: int = MAX_CATALOG_ORDER) -> list[FiniteGroup]:
     ``max_order`` must lie in ``1..15``.  Each group is built from its spec
     and named by its constructors, e.g. ``Z2xZ4`` or ``Dic3``.
     """
+    max_order = _integer(max_order, "max_order {value!r} is not an integer")
     if not 1 <= max_order <= MAX_CATALOG_ORDER:
         raise ValueError(
             f"max_order must be between 1 and {MAX_CATALOG_ORDER}, got {max_order}"

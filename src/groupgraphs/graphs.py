@@ -92,14 +92,13 @@ class _BitRows:
         return cls(_from_matrix(matrix))
 
     def _check_vertex(self, v: int) -> int:
+        v = _integer(v, "vertex {value!r} is not an integer")
         if not 0 <= v < self.order:
             raise VertexOutOfRange(f"vertex {v} not in [0, {self.order})")
         return v
 
     def _joined(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self.rows[u] >> v) & 1)
+        return bool((self.rows[self._check_vertex(u)] >> self._check_vertex(v)) & 1)
 
     def _row_degree(self, v: int) -> int:
         return self.rows[self._check_vertex(v)].bit_count()
@@ -218,7 +217,7 @@ class Digraph(_BitRows):
     is_arcless = _BitRows._is_empty
 
     def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
+        v = self._check_vertex(v)
         return sum((r >> v) & 1 for r in self.rows)
 
     def has_constant_in_out_degrees(self) -> bool:

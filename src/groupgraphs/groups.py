@@ -335,6 +335,7 @@ def _sum_table(k: int) -> np.ndarray:
 
 def cyclic(n: int) -> FiniteGroup:
     """The cyclic group Z_n with table[a][b] = (a + b) mod n."""
+    n = _integer(n, "cyclic group order {value!r} is not an integer")
     if n < 1:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
     return FiniteGroup._built(_sum_table(n), name=f"Z{n}")
@@ -360,6 +361,7 @@ def dihedral(m: int) -> FiniteGroup:
     i is the rotation r^i, x -> i + x; index m+i the reflection r^i*s,
     x -> i - x, labelled sr<i>.
     """
+    m = _integer(m, "dihedral parameter {value!r} is not an integer")
     if m < 2:
         raise InvalidOrder(f"dihedral parameter must be >= 2, got {m}")
     return _index2_extension(m, 0, f"D{m}", ("r{}", "sr{}"))
@@ -372,6 +374,7 @@ def dicyclic(m: int) -> FiniteGroup:
     (`_index2_extension`) on a cyclic group of order 2m, with twist m.
     Indices 0..2m-1 are a^i, indices 2m..4m-1 are a^i*b.
     """
+    m = _integer(m, "dicyclic parameter {value!r} is not an integer")
     if m < 2:
         raise InvalidOrder(f"dicyclic parameter must be >= 2, got {m}")
     return _index2_extension(2 * m, m, f"Dic{m}", ("a{}", "a{}b"))
@@ -420,6 +423,7 @@ def symmetric(k: int) -> FiniteGroup:
 
     Elements are image tuples p; the product of p and q is x -> p[q[x]].
     """
+    k = _integer(k, "symmetric group parameter {value!r} is not an integer")
     if k < 1:
         raise InvalidOrder(f"symmetric group parameter must be >= 1, got {k}")
     return _permutation_group(_lex_permutations(k), f"S{k}")
@@ -432,6 +436,7 @@ def alternating(k: int) -> FiniteGroup:
     permutation is even when it has an even number of inversions, pairs
     i < j with p[i] > p[j], counted for every permutation in one comparison.
     """
+    k = _integer(k, "alternating group parameter {value!r} is not an integer")
     if k < 3:
         raise InvalidOrder(f"alternating group parameter must be >= 3, got {k}")
     perms = _lex_permutations(k)

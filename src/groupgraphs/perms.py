@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import operator
 from typing import Iterable
+
+from .errors import _integer
 
 
 class Permutation:
@@ -21,12 +22,8 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         given = tuple(images)
-        try:
-            if any(isinstance(x, bool) for x in given):    # operator.index takes bools
-                raise TypeError
-            images = tuple(map(operator.index, given))
-        except TypeError:
-            raise ValueError(f"permutation images are not integers: {given!r}") from None
+        images = tuple(_integer(x, "permutation images are not integers: {given!r}", given=given)
+                       for x in given)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images

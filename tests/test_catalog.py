@@ -76,6 +76,19 @@ def test_max_order_filter() -> None:
         catalog(16)
 
 
+@pytest.mark.parametrize("max_order, message", [
+    (2.5, "max_order 2.5 is not an integer"),
+    (True, "max_order True is not an integer"),
+    ("4", "max_order '4' is not an integer"),
+    (0, "max_order must be between 1 and 15, got 0"),
+    (16, "max_order must be between 1 and 15, got 16"),
+])
+def test_max_order_takes_only_integers_in_range(max_order, message) -> None:
+    with pytest.raises(ValueError) as raised:
+        catalog(max_order)
+    assert str(raised.value) == message
+
+
 def test_catalog_entry_lookup() -> None:
     group = catalog_entry("Q8")
     assert group.order == 8

@@ -389,16 +389,21 @@ def test_out_flag_writes_file(capsys, tmp_path: Path) -> None:
     assert target.read_text(encoding="utf-8").strip() == "C~"
 
 
-def test_module_entry_point_subprocess() -> None:
-    # the child imports the same package as this test, wherever it came from
+def _child_env() -> dict[str, str]:
+    """The environment of a child that imports the same package as this test,
+    wherever it came from."""
     package_root = str(Path(cli.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
+
+
+def test_module_entry_point_subprocess() -> None:
     result = subprocess.run(
         [sys.executable, "-m", "groupgraphs.cli", "verify", "--max-order", "5"],
         capture_output=True,
         text=True,
         check=False,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=_child_env(),
     )
     assert result.returncode == 0
     assert "Z2xZ2" in result.stdout
@@ -406,12 +411,9 @@ def test_module_entry_point_subprocess() -> None:
 
 def test_reader_that_stops_early_is_not_an_error() -> None:
     # K8 lists 40320 automorphisms, far more than a pipe holds
-    package_root = str(Path(cli.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     child = subprocess.Popen(
         [sys.executable, "-m", "groupgraphs.cli", "aut", "--group", "Z8", "--set", "1,2,3,4,5,6,7"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
     )
     assert child.stdout.readline() == "graph 0: order 8, 40320 automorphisms\n"
     child.stdout.close()
@@ -419,6 +421,131 @@ def test_reader_that_stops_early_is_not_an_error() -> None:
     assert child.stderr.read() == ""
     child.stderr.close()
 
+
+def test_witness_is_whole_when_the_reader_stops_early(tmp_path: Path) -> None:
+    # 20001 answer lines are far more than a pipe holds; the rest are still decided
+    infile = tmp_path / "in.g6"
+    infile.write_text("A_\n" + "Bg\n" * 20000, encoding="ascii")  # K2, then P3
+    witness = tmp_path / "w.json"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "groupgraphs.cli", "is-cayley", "--in", str(infile),
+         "--witness", str(witness)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env(),
+    )
+    assert child.stdout.readline() == "graph 0: cayley (order 2, connection {1})\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == 0
+    assert child.stderr.read() == ""
+    child.stderr.close()
+    payload = json.loads(witness.read_text(encoding="utf-8"))
+    assert len(payload) == 20001
+    assert payload[0]["group_order"] == 2
+    assert payload[1:] == [None] * 20000
+
+
+def test_is_cayley_peak_memory_is_flat_in_the_line_count(tmp_path: Path) -> None:
+    # each line is answered and written before the next is read, so 50000 lines
+    # peak where 1000 do; holding every graph and answer line took 11 MB more.
+    # The child reads its peak as VmHWM, which starts afresh at exec: ru_maxrss
+    # would start at this test process's resident size, which hides the growth.
+    small, large = tmp_path / "small.g6", tmp_path / "large.g6"
+    small.write_text("Bg\n" * 1000, encoding="ascii")   # P3, settled by the degree filter
+    large.write_text("Bg\n" * 50000, encoding="ascii")
+    code = ("import os, sys\n"
+            "from groupgraphs.cli import main\n"
+            "for path in sys.argv[1:]:\n"
+            "    assert main(['is-cayley', '--in', path, '--out', os.devnull]) == 0\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n")
+    result = subprocess.run([sys.executable, "-c", code, str(small), str(large)],
+                            capture_output=True, text=True, check=True, env=_child_env())
+    peak_small, peak_large = map(int, result.stdout.split())   # kB
+    assert peak_large - peak_small < 4096
+
+
+def test_input_error_follows_the_answers_before_it(capsys, monkeypatch, tmp_path: Path) -> None:
+    # line 1 is not graph6: the answer to line 0 is written, then one error line
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nC\n"))
+    code = main(["is-cayley", "--in", "-"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "graph 0: cayley (order 2, connection {1})\n"
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    # --out and --witness hold the partial result
+    infile, out, witness = tmp_path / "in.g6", tmp_path / "out.txt", tmp_path / "w.json"
+    infile.write_text("A_\nC\n", encoding="ascii")
+    code = main(["is-cayley", "--in", str(infile), "--out", str(out), "--witness", str(witness)])
+    assert code == 2
+    assert out.read_text(encoding="utf-8") == captured.out
+    assert witness.read_text(encoding="utf-8").startswith('[\n  {\n    "cayley": true,')
+    assert not witness.read_text(encoding="utf-8").endswith("]\n")
+    # each answer is flushed before the next line is read, so where one pipe
+    # takes both streams the error still comes last
+    infile.write_text("Bg\n" * 300 + "C\n", encoding="ascii")
+    env = {key: value for key, value in _child_env().items() if key != "PYTHONUNBUFFERED"}
+    merged = subprocess.run([sys.executable, "-m", "groupgraphs.cli", "is-cayley", "--in", str(infile)],
+                            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env)
+    assert merged.returncode == 2
+    lines = merged.stdout.splitlines()
+    assert lines[:-1] == [f"graph {i}: not cayley (NotRegularDegree)" for i in range(300)]
+    assert lines[-1].startswith("error: ")
+
+
+class _StoppedReader(io.StringIO):
+    """A stdout whose reader has stopped: each flush fails, and `fileno` is
+    the descriptor of a temporary file, onto which os.devnull is duplicated."""
+
+    def __init__(self, fd: int):
+        super().__init__()
+        self.fd = fd
+
+    def flush(self) -> None:
+        raise BrokenPipeError
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+def test_input_error_still_exits_2_when_the_reader_has_stopped(capsys, monkeypatch,
+                                                                tmp_path: Path) -> None:
+    # line 1 fails while the answer to line 0 waits to be flushed; that flush
+    # meets the stopped reader, and the input error still sets the exit status
+    infile = tmp_path / "in.g6"
+    infile.write_text("A_\nC\n", encoding="ascii")
+    with open(tmp_path / "sink", "w", encoding="ascii") as sink:
+        monkeypatch.setattr(sys, "stdout", _StoppedReader(sink.fileno()))
+        code = main(["is-cayley", "--in", str(infile)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: graph6: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["is-cayley", "--in", "{dir}/missing.g6"],
+    ["aut", "--in", "{dir}/missing.g6"],
+    ["is-cayley", "--group", "Z0"],
+    ["is-cayley", "--group", "Z6", "--set", "1,x"],
+    ["is-cayley", "--group", "Z6", "--set", "7"],
+    ["is-cayley"],
+    ["is-cayley", "--in", "{dir}/in.g6", "--set", "1"],
+    ["is-cayley", "--in", "{dir}/in.g6", "--out", "{dir}/no/such/dir"],
+], ids=" ".join)
+def test_errors_before_the_first_graph_create_no_output_file(capsys, tmp_path: Path,
+                                                             argv) -> None:
+    (tmp_path / "in.g6").write_text("A_\n", encoding="ascii")
+    out, witness = tmp_path / "out.txt", tmp_path / "w.json"
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    if argv[0] == "is-cayley":
+        argv += ["--witness", str(witness)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["in.g6"]
 
 # sha256 of standard output, recorded before the numpy rewrite of graph
 # construction and serialization; orders above 62 have no graph6 (exit 2).

@@ -64,6 +64,13 @@ def test_from_edges_rejects_loops_and_bad_vertices() -> None:
     (lambda: SimpleGraph.edgeless(-3), "graph order must be positive, got -3"),
     (lambda: SimpleGraph.complete(-3), "graph order must be positive, got -3"),
     (lambda: SimpleGraph.complete(2.0), "graph order 2.0 is not an integer"),
+    # vertex queries pass the same check: no float, string or bool
+    (lambda: SimpleGraph.complete(4).has_edge(0, 1.5), "vertex 1.5 is not an integer"),
+    (lambda: SimpleGraph.complete(4).has_edge(0, True), "vertex True is not an integer"),
+    (lambda: SimpleGraph.complete(4).neighbors("1"), "vertex '1' is not an integer"),
+    (lambda: SimpleGraph.complete(4).degree(True), "vertex True is not an integer"),
+    (lambda: Digraph.from_arcs(3, [(0, 1)]).in_degree(1.5), "vertex 1.5 is not an integer"),
+    (lambda: Digraph.from_arcs(3, [(0, 1)]).has_arc(False, 1), "vertex False is not an integer"),
 ])
 def test_graph_entry_points_reject_what_is_not_an_integer(build, message) -> None:
     with pytest.raises(ValueError) as raised:

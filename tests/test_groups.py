@@ -270,6 +270,32 @@ def test_constructor_parameter_bounds() -> None:
         groups.dicyclic(1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: groups.cyclic(2.5), "cyclic group order 2.5 is not an integer"),
+    (lambda: groups.cyclic(True), "cyclic group order True is not an integer"),
+    (lambda: groups.dihedral(3.0), "dihedral parameter 3.0 is not an integer"),
+    (lambda: groups.dicyclic(2.5), "dicyclic parameter 2.5 is not an integer"),
+    (lambda: groups.symmetric(3.5), "symmetric group parameter 3.5 is not an integer"),
+    (lambda: groups.alternating(4.0), "alternating group parameter 4.0 is not an integer"),
+    (lambda: groups.dihedral("3"), "dihedral parameter '3' is not an integer"),
+    # the range messages are unchanged
+    (lambda: groups.cyclic(0), "cyclic group order must be >= 1, got 0"),
+    (lambda: groups.dihedral(1), "dihedral parameter must be >= 2, got 1"),
+    (lambda: groups.dicyclic(1), "dicyclic parameter must be >= 2, got 1"),
+    (lambda: groups.symmetric(0), "symmetric group parameter must be >= 1, got 0"),
+    (lambda: groups.alternating(2), "alternating group parameter must be >= 3, got 2"),
+])
+def test_constructors_take_only_integers(build, message) -> None:
+    with pytest.raises((ValueError, InvalidOrder)) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_constructors_take_numpy_integers() -> None:
+    assert groups.cyclic(np.int64(5)).name == "Z5"
+    assert groups.dihedral(np.uint8(3)).order == 6
+
+
 def test_power_examples() -> None:
     z6 = groups.cyclic(6)
     assert z6.power(2, 3) == 0
