@@ -16,12 +16,14 @@ search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
 The automorphism search (`_Search`) builds its tables once per graph,
 answers vertex-transitivity without listing the group, and yields its
-leaves one at a time from one generator, `leaves`.  `is_cayley` lists no
-group either: the candidates for vertex v are drawn lazily, only when the
-selection reaches v, from a targeted search 0 -> v that skips every leaf
-with a fixed point, which gives the filtered candidates of the listing in
-the same lex order.  Each drawn search stays suspended until the selection
-ends, holding n + 1 mask lists of n ints (about 290 MB at C_1024).
+leaves one at a time from one generator, `leaves`; once the vertices left
+are interchangeable, it yields their images from itertools.permutations,
+in the same lex order.  `is_cayley` lists no group either: the candidates
+for vertex v are drawn lazily, only when the selection reaches v, from a
+targeted search 0 -> v that skips every leaf with a fixed point, which
+gives the filtered candidates of the listing in the same lex order.  Each
+drawn search stays suspended until the selection ends, holding n + 1 mask
+lists of n ints (about 290 MB at C_1024).
 
 Both questions run one reduction first (`_reduce`).  The components of
 Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and t copies
@@ -39,12 +41,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .cayley import ConnectionSet, directed_cayley, undirected_cayley
-from .errors import SearchBoundExceeded
+from .errors import SearchBoundExceeded, _integer
 from .graphs import Digraph, SimpleGraph
 from .groups import FiniteGroup, _product_table, _sum_table, cyclic
 from .perms import Permutation
@@ -125,6 +128,7 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
     digraphs.  The list always contains the identity and is closed under
     composition and inversion.
     """
+    bound = _integer(bound, "search bound {value!r} is not an integer")
     leaves = list(_Search(graph.rows, bound).leaves())
     # each leaf of the search is a bijection: an image leaves every later mask
     return [Permutation._unchecked(p) for p in leaves]
@@ -251,6 +255,7 @@ def _reduce(graph: Graph, bound: int) -> tuple[int, _Search | None, list] | NotC
     on the union of C_0 and each C_i maps C_0 onto C_i by phi_i; that step
     appends images[i][k] = phi_i(c_k), c_k being C_0's k-th vertex, to maps.
     """
+    bound = _integer(bound, "search bound {value!r} is not an integer")
     if not _degrees_constant(graph):
         return NotCayley(NotCayleyReason.NOT_REGULAR_DEGREE)
     rows: Sequence[int] = graph.rows
@@ -339,6 +344,16 @@ class _Search:
     is the generator `leaves`, the search's one entry: a listing is list()
     of it, a targeted search its first leaf, and a draw one more leaf of a
     suspended loop.
+
+    A tail replaces a subtree.  For k >= tail_from with n - k >= 4, the
+    vertices k.. are pairwise joined by one symmetric code (both arcs, or
+    neither); when a try at depth k - 1 leaves them one mask M, the leaves
+    below it are the prefix followed by permutations(sorted(M)), in the
+    backtrack's lex order.  Every bijection onto M fits: the masks start
+    inside the (out-degree, in-degree) classes, so M is the n - k unused
+    images, each joining the placed images as the vertices k.. join theirs,
+    and equal degrees then join M pairwise by that code.  Shorter tails cost
+    more than they save.
     """
 
     def __init__(self, rows: Sequence[int], bound: int):
@@ -360,6 +375,12 @@ class _Search:
         # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
         self.keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r)
                      for v, (r, c) in enumerate(zip(rows, cols))]
+        # tail_from: the first depth k <= n - 4 whose vertices k.. are pairwise
+        # joined by one symmetric code (both arcs, or neither), else n
+        code, k = (self.later[n - 2][0][1] if n > 1 else 1), n - 1
+        while k and code in (0, 3) and not ((1 << n) - (1 << k)) & ~self.keep[k - 1][code]:
+            k -= 1  # vertex k - 1 joins each vertex after it by code
+        self.tail_from = k if k <= n - 4 else n
 
     def leaves(self, target: int | None = None,
                moving: bool = False) -> Iterator[tuple[int, ...]]:
@@ -375,6 +396,7 @@ class _Search:
         masks = [start] + [[0] * n for _ in range(n)]
         frames = list(zip(masks, masks[1:], self.later))  # what depth k reads and writes
         img = [0] * n
+        first, last = self.tail_from - 1, n - 5  # the depths whose tries may start a tail
         stack = [start[0]]  # the untried images of each unfinished depth
         while stack:
             left = stack.pop()
@@ -392,6 +414,12 @@ class _Search:
                 else:
                     img[k] = v
                     if k < n - 2:
+                        # a tail (see the class docstring): the vertices after k have one mask
+                        if (first <= k <= last
+                                and narrowed[k + 1:].count(narrowed[-1]) == n - k - 1):
+                            yield from map(tuple(img[:k + 1]).__add__,
+                                           permutations(_vertices(narrowed[-1])))
+                            continue
                         stack.append(left)
                         k += 1
                         cand, narrowed, checks = frames[k]

@@ -85,17 +85,20 @@ def brute_force_automorphisms(graph: SimpleGraph | Digraph) -> list[tuple[int, .
     return found
 
 
-def reference_search(search: _Search, target: int | None = None) -> list[tuple[int, ...]]:
+def reference_search(search: _Search, target: int | None = None,
+                     moving: bool = False) -> list[tuple[int, ...]]:
     """The automorphism search with a fresh mask list per try, on `search`'s tables.
 
     The plain forward-checked backtrack over `search.start`, `search.later`
     and `search.keep`: every try copies the whole mask list, and every
-    vertex, the last one too, is placed by a recursive call.  The library's
-    kernel must return the same list, in the same order, and the same first
-    leaf for every target.
+    vertex, the last one too, is placed by a recursive call.  It takes no
+    tail: every leaf is reached one try at a time.  With `moving`, each
+    vertex's own bit leaves its mask, as in `leaves`.  The library's kernel
+    must return the same list, in the same order, and the same first leaf
+    for every target.
     """
     n, later, keep = search.n, search.later, search.keep
-    start = search.start[:]
+    start = [m & ~(1 << u) for u, m in enumerate(search.start)] if moving else search.start[:]
     stop = target is not None
     if stop:
         start[0] &= 1 << target

@@ -6,9 +6,10 @@ import hashlib
 import math
 import random
 import sys
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,19 @@ def test_automorphisms_bound() -> None:
         symmetry.automorphisms(path)
     assert (raised.value.order, raised.value.bound) == (17, 16)
     assert len(symmetry.automorphisms(path, bound=17)) == 2
+
+
+@pytest.mark.parametrize("bound", ["16", None, 16.5, True])
+@pytest.mark.parametrize("entry", [symmetry.automorphisms, symmetry.is_vertex_transitive,
+                                   symmetry.is_cayley])
+def test_search_bound_must_be_an_integer(entry, bound) -> None:
+    # C4 is searched; a path fails the degree filter and K4 becomes edgeless, unsearched
+    path = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    for graph in (cycle_graph(4), path, SimpleGraph.complete(4)):
+        with pytest.raises(ValueError) as raised:
+            entry(graph, bound=bound)
+        assert str(raised.value) == f"search bound {bound!r} is not an integer"
+    assert entry(cycle_graph(4), bound=np.int64(4))
 
 
 def test_search_deeper_than_the_recursion_limit_answers() -> None:
@@ -582,6 +596,11 @@ def cliques(t: int, m: int) -> SimpleGraph:
     return disjoint_union(*[SimpleGraph.complete(m)] * t)
 
 
+def shuffled(graph):
+    n = graph.order
+    return relabel(graph, random.Random(n).sample(range(n), n))
+
+
 # the enumerate benchmark's families, where most nodes of the search lead to a leaf
 ENUMERATE_FAMILIES = {
     "K8": (SimpleGraph.complete(8), 40320),
@@ -603,9 +622,71 @@ ENUMERATE_FAMILIES = {
 @pytest.mark.parametrize("name", ENUMERATE_FAMILIES)
 def test_enumerate_families_match_the_reference_kernel(name) -> None:
     graph, count = ENUMERATE_FAMILIES[name]
-    n = graph.order
-    shuffled = relabel(graph, random.Random(n).sample(range(n), n))
-    assert len(assert_search_matches_reference(shuffled)) == count
+    assert len(assert_search_matches_reference(shuffled(graph))) == count
+
+
+def star(n: int, centre: int) -> SimpleGraph:
+    return SimpleGraph.from_edges(n + 1, [(centre, v) for v in range(n + 1) if v != centre])
+
+
+def tournament_tail() -> Digraph:
+    """K3 on 0..2, then a transitive tournament on 3..6: codes 1 and 2 at the end."""
+    return Digraph.from_arcs(7, [(u, v) for u in range(3) for v in range(3) if u != v]
+                             + [(u, v) for u in range(3, 7) for v in range(u + 1, 7)])
+
+
+def rotational_tournament_tail() -> Digraph:
+    """A source 0 -> 1..5 and the rotational tournament i -> i + 1, i + 2 (mod 5)
+    on 1..5: below 0 -> 0 the five masks are one M of size 5, but joined by
+    codes 1 and 2, so most bijections onto M are not automorphisms."""
+    return Digraph.from_arcs(6, [(0, v) for v in range(1, 6)]
+                             + [(1 + i, 1 + (i + d) % 5) for i in range(5) for d in (1, 2)])
+
+
+# the cases a tail can take (every unplaced vertex with one mask, joined by one
+# symmetric code), and near misses: codes 1 and 2, or a centre placed late
+TAIL_CASES = {
+    **{f"K{n}": SimpleGraph.complete(n) for n in range(4, 9)},
+    **{f"edgeless{n}": SimpleGraph([0] * n) for n in range(4, 9)},
+    **{f"K1,6 centre {c}": star(6, c) for c in range(7)},
+    "pendant, K6": SimpleGraph.from_edges(7, [(0, 1)] + list(combinations(range(1, 7), 2))),
+    "K6, pendant": SimpleGraph.from_edges(7, [(5, 6)] + list(combinations(range(6), 2))),
+    "2K4 relabelled": shuffled(cliques(2, 4)),
+    "K4,4 relabelled": shuffled(complete_bipartite(4, 4)),
+    "K4,4": complete_bipartite(4, 4),
+    "complete digraph": Digraph.from_arcs(6, [(u, v) for u in range(6) for v in range(6) if u != v]),
+    "tournament tail": tournament_tail(),
+    "rotational tournament tail": rotational_tournament_tail(),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_CASES)
+def test_tails_match_the_reference_kernel(name) -> None:
+    graph = TAIL_CASES[name]
+    assert_search_matches_reference(graph)
+    search = symmetry._Search(graph.rows, graph.order)
+    moving = reference_search(search, moving=True)
+    for v in range(graph.order):
+        assert list(search.leaves(v, moving=True)) == [p for p in moving if p[0] == v]
+
+
+def test_tails_are_taken_only_on_symmetric_codes(monkeypatch) -> None:
+    tails = []
+
+    def counting(images):
+        tails.append(len(images))
+        return permutations(images)
+
+    monkeypatch.setattr(symmetry, "permutations", counting)
+    assert len(symmetry.automorphisms(SimpleGraph.complete(8))) == 40320
+    # depth 0 takes no tail; each of its 8 tries leaves a tail of 7 vertices
+    assert tails == [7] * 8
+    tails.clear()
+    for graph in (tournament_tail(), rotational_tournament_tail()):
+        search = symmetry._Search(graph.rows, graph.order)
+        assert search.tail_from == graph.order
+        assert len(list(search.leaves())) == len(brute_force_automorphisms(graph))
+    assert tails == []
 
 
 def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
