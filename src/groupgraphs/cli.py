@@ -172,7 +172,7 @@ def _aut_answers(source: Iterable[SimpleGraph | Digraph],
         perms = symmetry.automorphisms(graph, bound=args.bound)
         if args.format == "json":
             yield json.dumps({"index": index, "order": graph.order, "count": len(perms),
-                              "automorphisms": [list(p.images) for p in perms]}) + "\n"
+                              "automorphisms": [p.images for p in perms]}) + "\n"
         else:
             yield f"graph {index}: order {graph.order}, {len(perms)} automorphisms\n"
             for start in range(0, len(perms), 1024):

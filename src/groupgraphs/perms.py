@@ -35,6 +35,16 @@ class Permutation:
         return p
 
     @classmethod
+    def _unchecked_list(cls, leaves: Iterable[tuple[int, ...]]) -> list[Permutation]:
+        """``_unchecked`` of each tuple, in one loop: one object per tuple."""
+        new, out = object.__new__, []
+        for images in leaves:
+            p = new(cls)
+            p.images = images
+            out.append(p)
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> Permutation:
         return cls._unchecked(tuple(range(n)))
 

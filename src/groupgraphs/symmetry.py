@@ -23,7 +23,9 @@ for vertex v are drawn lazily, only when the selection reaches v, from a
 targeted search 0 -> v that skips every leaf with a fixed point, which
 gives the filtered candidates of the listing in the same lex order.  Each
 drawn search stays suspended until the selection ends, holding n + 1 mask
-lists of n ints (about 290 MB at C_1024).
+lists of n ints (about 260 MB at C_1024); all are freed before `is_cayley`
+returns.  A listing pauses the cyclic collector: it forms no reference
+cycle, so a collection could free nothing.
 
 Both questions run one reduction first (`_reduce`).  The components of
 Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and t copies
@@ -40,6 +42,7 @@ no complement is searched for components.
 from __future__ import annotations
 
 import enum
+import gc
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
@@ -126,12 +129,20 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
 
     Adjacency-preserving for undirected graphs, arc-preserving for
     digraphs.  The list always contains the identity and is closed under
-    composition and inversion.
+    composition and inversion.  The cyclic collector is paused while it is
+    built: tuples of ints, their wrappers and the search's lists of ints
+    form no cycle, so a collection could free nothing.
     """
     bound = _integer(bound, "search bound {value!r} is not an integer")
-    leaves = list(_Search(graph.rows, bound).leaves())
-    # each leaf of the search is a bijection: an image leaves every later mask
-    return [Permutation._unchecked(p) for p in leaves]
+    search = _Search(graph.rows, bound)  # checks the bound before the pause
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # each leaf of the search is a bijection: an image leaves every later mask
+        return Permutation._unchecked_list(search.leaves())
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def is_vertex_transitive(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> bool:
@@ -549,4 +560,7 @@ def _search_regular_subgroup(
                     return result
         return None
 
-    return extend([], [identity] + [None] * (n - 1))
+    try:
+        return extend([], [identity] + [None] * (n - 1))
+    finally:
+        del extend  # extend's cell refers to extend: free the suspended draws now

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
@@ -897,3 +898,75 @@ def test_lazy_draws_select_the_listings_first_subgroup(name) -> None:
     if len(symmetry._components(graph.rows)) == 1:
         # stage 5 searches the graph itself; 6K2 is decided on one K2 and lifted
         assert symmetry.is_cayley(graph, bound).group.table.tolist() == listed
+
+
+# -- the collector: paused for a listing, nothing left for it after a decision ----
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's state, whatever the test leaves it in."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_listing_restores_the_collector_as_it_found_it(enabled, collector) -> None:
+    (gc.enable if enabled else gc.disable)()
+    assert len(symmetry.automorphisms(SimpleGraph.complete(6))) == 720
+    assert gc.isenabled() is enabled
+
+
+def test_listing_that_raises_restores_the_collector(monkeypatch, collector) -> None:
+    paused = []
+
+    def failing_leaves(self, target=None, moving=False):
+        for images in islice(permutations(range(self.n)), 3):
+            paused.append(gc.isenabled())
+            yield images
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(symmetry._Search, "leaves", failing_leaves)
+    gc.enable()
+    with pytest.raises(RuntimeError, match="search failed"):
+        symmetry.automorphisms(SimpleGraph.complete(5))
+    assert paused == [False] * 3
+    assert gc.isenabled()
+
+
+def test_bound_exceeded_leaves_the_collector_untouched(monkeypatch) -> None:
+    calls = []
+    for name in ("isenabled", "disable", "enable"):
+        monkeypatch.setattr(symmetry.gc, name, lambda name=name: calls.append(name))
+    with pytest.raises(SearchBoundExceeded):
+        symmetry.automorphisms(cycle_graph(17))
+    assert calls == []
+
+
+@pytest.mark.parametrize("graph, bound", [(SimpleGraph.complete(8), 8),
+                                          (complete_bipartite(5, 5), 10),
+                                          (cycle_graph(16), 16)], ids=["K8", "K5,5", "C16"])
+def test_listing_wraps_each_leaf_of_the_search(graph, bound) -> None:
+    listing = symmetry.automorphisms(graph, bound)
+    expected = [Permutation._unchecked(p) for p in symmetry._Search(graph.rows, bound).leaves()]
+    assert listing == expected
+    assert {type(p) for p in listing} == {Permutation}
+
+
+def test_decisions_leave_no_cycle_for_the_collector(collector) -> None:
+    # the drawn searches, their filters and caches are freed when is_cayley returns
+    graph = circulant(10, (1, 3, 7, 9))
+    gc.collect()
+    gc.disable()
+    assert symmetry.is_cayley(graph)
+    assert gc.collect() == 0
+    verdict = symmetry.is_cayley(petersen_graph())
+    assert verdict.reason is NotCayleyReason.NO_REGULAR_SUBGROUP
+    assert gc.collect() == 0
+    assert symmetry.find_regular_subgroup(symmetry.automorphisms(graph), 10) is not None
+    assert gc.collect() == 0
