@@ -9,9 +9,10 @@ methods in its own words (edge or arc).
 Whole-graph work (symmetrising, listing pairs, writing large outputs)
 goes through an n x n boolean matrix instead, built from the rows and
 packed back by the one pair of converters below.  The package's own
-builders (the graph6 decoder, the power and Cayley graphs) hand in rows
-that are valid by construction through ``_unchecked``, which skips the
-checks; ``SimpleGraph(rows)`` and ``Digraph(rows)`` keep them all.
+builders (the graph6 decoder, the power and Cayley graphs, ``complete``,
+``edgeless``, and ``from_edges``/``from_arcs`` once each pair is checked)
+hand in rows that are valid by construction through ``_unchecked``, which
+skips the checks; ``SimpleGraph(rows)`` and ``Digraph(rows)`` keep them all.
 Serialization covers the standard graph6/digraph6 formats for n <= 62
 (one codec: they differ only in a prefix and a pair order), DOT output
 for human inspection, and JSON and 0/1 table text at any order.  The
@@ -154,7 +155,7 @@ def _from_pairs(cls, order: int, pairs: Iterable[tuple[int, int]]):
         rows[u] |= 1 << v
         if not cls._directed:
             rows[v] |= 1 << u
-    return cls(rows)
+    return cls._unchecked(rows)
 
 
 class SimpleGraph(_BitRows):
@@ -183,11 +184,11 @@ class SimpleGraph(_BitRows):
     def complete(cls, order: int) -> SimpleGraph:
         order = _order(order)
         full = (1 << order) - 1
-        return cls([full & ~(1 << v) for v in range(order)])
+        return cls._unchecked([full & ~(1 << v) for v in range(order)])
 
     @classmethod
     def edgeless(cls, order: int) -> SimpleGraph:
-        return cls([0] * _order(order))
+        return cls._unchecked([0] * _order(order))
 
     def neighbors(self, v: int) -> list[int]:
         row = self.rows[self._check_vertex(v)]

@@ -18,13 +18,16 @@ The automorphism search (`_Search`) builds its tables once per graph,
 answers vertex-transitivity without listing the group, and yields its
 leaves one at a time from one generator, `leaves`; once the vertices left
 are interchangeable, it yields their images from itertools.permutations,
-in the same lex order.  `is_cayley` lists no group either: the candidates
-for vertex v are drawn lazily, only when the selection reaches v, from a
-targeted search 0 -> v that skips every leaf with a fixed point, which
-gives the filtered candidates of the listing in the same lex order.  Each
-drawn search stays suspended until the selection ends, holding n + 1 mask
-lists of n ints (about 260 MB at C_1024); all are freed before `is_cayley`
-returns.  A listing pauses the cyclic collector: it forms no reference
+in the same lex order.  The selection (`_regular_group`) is one backtrack
+over per-vertex sources, the candidates sending 0 to v in lex order.
+`is_cayley` lists no group either: its source for v is a targeted search
+0 -> v that skips every leaf with a fixed point, drawn lazily, only when
+the selection reaches v, which gives the filtered candidates of the
+listing in the same lex order.  Each drawn search stays suspended until
+the selection ends, holding n + 1 mask lists of n ints (about 260 MB at
+C_1024); all are freed before `is_cayley` returns.  The sources of
+`find_regular_subgroup` are its list's buckets by image of 0, and it keeps
+every check a list needs to itself.  A listing pauses the cyclic collector: it forms no reference
 cycle, so a collection could free nothing.
 
 Both questions run one reduction first (`_reduce`).  The components of
@@ -45,7 +48,7 @@ import enum
 import gc
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -172,24 +175,46 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     if degrees:
         raise ValueError(f"permutations of degree {min(degrees)} given with n = {n}")
     images = sorted(p.images for p in auts)
-    group = _regular_group(n, images)
+    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for p in images:
+        buckets[p[0]].append(p)
+    # the identity sorts first; with a bucket empty, a selection may complete outside the list
+    if images[:1] != [tuple(range(n))] or not all(buckets):
+        return None
+    group = _regular_group(buckets)
     if group is None:
         return None
-    members = [tuple(row) for row in group.table.tolist()]
-    if not set(members) <= set(images):
+    members = Permutation._unchecked_list(map(tuple, group.table.tolist()))
+    if not {p.images for p in members} <= set(images):
         raise ValueError("kernel returned a permutation outside the input list; "
                          "was the automorphism list closed under composition?")
-    return [Permutation._unchecked(p) for p in members]
+    return members
 
 
-def _regular_group(n: int, images: _Search | Sequence[tuple[int, ...]]) -> FiniteGroup | None:
-    """The regular subgroup the kernel selects from `images`, or None.
+def _regular_group(sources: Sequence[Iterable[tuple[int, ...]]]) -> FiniteGroup | None:
+    """The regular subgroup `_select` finds over per-vertex sources, or None.
 
-    Member v is row v of the table.  Identity 0 says it sends 0 to v, and then
-    the members are closed iff the table is associative, T[i, T[j, v]] ==
+    sources[v] yields the candidates sending 0 to v in lex order.  Only the
+    semiregular ones are drawn, one at a time when the selection reaches v,
+    and kept for its later returns to v: every selection that completes is
+    a regular group, whose non-identity members are semiregular.  Member v
+    is row v of the table.  Identity 0 says it sends 0 to v, and then the
+    members are closed iff the table is associative, T[i, T[j, v]] ==
     T[T[i, j], v], which construction checks.
     """
-    members = _search_regular_subgroup(n, images)
+    n = len(sources)
+    draws = [filter(_semiregular, source) for source in sources]
+    drawn: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+
+    def candidates(v: int) -> Iterator[tuple[int, ...]]:
+        """Those drawn on earlier visits to v, then new draws.  The lowest open
+        vertex rises with the depth, so no two of these run at once for one v."""
+        yield from drawn[v]
+        for p in draws[v]:
+            drawn[v].append(p)
+            yield p
+
+    members = _select([], [tuple(range(n))] + [None] * (n - 1), candidates)
     if members is None:
         return None
     group = FiniteGroup(members)
@@ -207,7 +232,7 @@ def _witness(graph: Graph, group: FiniteGroup) -> CayleyWitness:
     row = graph.rows[0]
     connection = ConnectionSet(n, (v for v in range(n) if (row >> v) & 1))
     # row v of the table is v's left translation u -> v * u, a permutation in a group
-    vertex_map = tuple(Permutation._unchecked(tuple(images)) for images in group.table.tolist())
+    vertex_map = tuple(Permutation._unchecked_list(map(tuple, group.table.tolist())))
     return CayleyWitness(group, connection, vertex_map, isinstance(graph, Digraph))
 
 
@@ -237,7 +262,8 @@ def is_cayley(graph: Graph, bound: int = DEFAULT_CAYLEY_BOUND) -> CayleyWitness 
     if isinstance(reduced, NotCayley):
         return reduced
     order, search, maps = reduced
-    group = cyclic(order) if search is None else _regular_group(order, search)
+    group = (cyclic(order) if search is None
+             else _regular_group([search.leaves(v, moving=True) for v in range(order)]))
     if group is None:
         return NotCayley(NotCayleyReason.NO_REGULAR_SUBGROUP)
     for images in reversed(maps):
@@ -484,83 +510,41 @@ def _semiregular(p: tuple[int, ...]) -> bool:
     return True
 
 
-def _search_regular_subgroup(
-    n: int, perms: _Search | Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]] | None:
-    """A subgroup of `perms` with exactly one member sending 0 to each vertex.
+def _generate(sel: list[tuple[int, ...] | None],
+              gens: list[tuple[int, ...]]) -> list[tuple[int, ...] | None] | None:
+    """<gens> by image of 0, grown from sel = <gens[:-1]> by right
+    multiplication (sel's members need only the new generator); None if
+    two members send 0 to the same vertex."""
+    sel = list(sel)
+    queue = [q for q in sel if q is not None]
+    known = len(queue)
+    for i, q in enumerate(queue):
+        for g in gens[-1:] if i < known else gens:
+            t = tuple([q[x] for x in g])
+            existing = sel[t[0]]
+            if existing is None:
+                sel[t[0]] = t
+                queue.append(t)
+            elif existing != t:
+                return None
+    return sel
 
-    `perms` is an automorphism search, or a lex-ordered list closed under
-    composition.  Backtracks over the candidates for the lowest unresolved
-    vertex v, in lex order.  From a search they are the leaves of its
-    targeted search 0 -> v with no fixed point (the list's bucket of v,
-    less what the semiregular filter drops anyway), drawn lazily, one at a
-    time when the selection reaches v, and kept for its later returns to v.
-    No group is listed; each drawn search stays suspended, holding n + 1
-    mask lists of n ints, until the selection ends.  The candidates chosen
-    so far generate the selection: a choice stands iff no two members of
-    the group they generate send 0 to the same vertex.  Returns the members
-    ordered by their image of 0, or None.
-    """
-    identity = tuple(range(n))
-    sources: Sequence[Iterable[tuple[int, ...]]]
-    if isinstance(perms, _Search):
-        sources = [perms.leaves(v, moving=True) for v in range(n)]
-    else:
-        if identity not in perms:
-            return None
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-        for p in perms:
-            buckets[p[0]].append(p)
-        if any(not b for b in buckets):
-            return None  # not even transitive
-        sources = buckets
-    # every selection the search can complete is a regular group, whose non-identity
-    # members are semiregular: no other candidate can succeed (checked once, when drawn)
-    draws = [filter(_semiregular, source) for source in sources]
-    drawn: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
 
-    def candidates(v: int) -> Iterator[tuple[int, ...]]:
-        """v's semiregular candidates in order: those drawn on earlier visits,
-        then new draws.  The lowest open vertex rises with the depth, so no
-        two of these run at once for one v."""
-        yield from drawn[v]
-        for p in draws[v]:
-            drawn[v].append(p)
-            yield p
-
-    def generate(sel: list[tuple[int, ...] | None],
-                 gens: list[tuple[int, ...]]) -> list[tuple[int, ...] | None] | None:
-        """<gens> by image of 0, grown from sel = <gens[:-1]> by right
-        multiplication (sel's members need only the new generator); None
-        if two members send 0 to the same vertex."""
-        sel = list(sel)
-        queue = [q for q in sel if q is not None]
-        known = len(queue)
-        for i, q in enumerate(queue):
-            for g in gens[-1:] if i < known else gens:
-                t = tuple([q[x] for x in g])
-                existing = sel[t[0]]
-                if existing is None:
-                    sel[t[0]] = t
-                    queue.append(t)
-                elif existing != t:
-                    return None
+def _select(gens: list[tuple[int, ...]], sel: list[tuple[int, ...] | None],
+            candidates: Callable[[int], Iterable[tuple[int, ...]]]
+            ) -> list[tuple[int, ...]] | None:
+    """The members, by image of 0, of a group extending sel = <gens> with
+    exactly one member sending 0 to each vertex, or None.  Backtracks over
+    the candidates for the lowest open vertex; a choice stands iff no two
+    members of the group the choices generate send 0 to the same vertex.
+    Each choice at least doubles the selection: the depth is log2(n) at most."""
+    if None not in sel:
         return sel
-
-    def extend(gens: list[tuple[int, ...]],
-               sel: list[tuple[int, ...] | None]) -> list[tuple[int, ...]] | None:
-        if None not in sel:
-            return sel
-        v = sel.index(None)
-        for p in candidates(v):
-            nxt = generate(sel, gens + [p])
-            if nxt is not None:
-                result = extend(gens + [p], nxt)
-                if result is not None:
-                    return result
-        return None
-
-    try:
-        return extend([], [identity] + [None] * (n - 1))
-    finally:
-        del extend  # extend's cell refers to extend: free the suspended draws now
+    v = sel.index(None)
+    for p in candidates(v):
+        nxt = _generate(sel, gens + [p])
+        if nxt is not None:
+            found = _select(gens + [p], nxt, candidates)
+            if found is not None:
+                return found
+    return None

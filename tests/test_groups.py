@@ -235,6 +235,11 @@ def test_cyclic_examples() -> None:
         groups.cyclic(0)
 
 
+def test_repr_names_the_group_and_its_order() -> None:
+    assert repr(groups.cyclic(4)) == "<Z4 of order 4>"
+    assert repr(groups.FiniteGroup([[0]])) == "<FiniteGroup of order 1>"
+
+
 def test_symmetric_3_is_non_abelian() -> None:
     s3 = groups.symmetric(3)
     assert s3.order == 6

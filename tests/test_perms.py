@@ -49,3 +49,9 @@ def test_derived_permutations_equal_checked_ones() -> None:
 def test_composition_still_checks_degrees() -> None:
     with pytest.raises(ValueError):
         Permutation((1, 0)) * Permutation((0, 2, 1))
+
+
+def test_permutations_sort_by_images_and_repr_as_a_list() -> None:
+    p, q = Permutation((1, 0)), Permutation((0, 1))
+    assert sorted([p, q]) == [q, p]
+    assert repr(p) == "Permutation([1, 0])"

@@ -244,6 +244,15 @@ def test_find_regular_subgroup_requires_identity() -> None:
     assert symmetry.find_regular_subgroup([shift], 4) is None
 
 
+def test_find_regular_subgroup_finds_nothing_where_a_vertex_has_no_candidate() -> None:
+    # a selection from rotations 0, 1, 3 and 4 of C5 would complete through 1 + 1 = 2,
+    # which the list lacks; K1,3 sends 0 to no leaf
+    rotations = [Permutation([(v + k) % 5 for v in range(5)]) for k in (0, 1, 3, 4)]
+    assert symmetry.find_regular_subgroup(rotations, 5) is None
+    assert symmetry.find_regular_subgroup(symmetry.automorphisms(complete_bipartite(1, 3)),
+                                          4) is None
+
+
 def test_find_regular_subgroup_rejects_a_list_that_is_not_closed() -> None:
     auts = symmetry.automorphisms(cycle_graph(4))
     assert len(auts) == 8
@@ -277,12 +286,13 @@ def test_each_defect_of_the_kernels_selection_is_caught(n, monkeypatch) -> None:
     }
     graph = circulant(n, (1,), directed=True)       # a directed cycle
     for members in defects.values():
-        monkeypatch.setattr(symmetry, "_search_regular_subgroup", lambda *_: members)
+        # the input is the rotations, which pass every guard; only the selection is wrong
+        monkeypatch.setattr(symmetry, "_select", lambda *_: members)
         with pytest.raises((ValueError, GroupGraphsError)):
-            symmetry.find_regular_subgroup([Permutation(p) for p in members], n)
+            symmetry.find_regular_subgroup([Permutation(p) for p in rotations], n)
         with pytest.raises((ValueError, GroupGraphsError)):
             symmetry.is_cayley(graph, bound=n)
-    monkeypatch.setattr(symmetry, "_search_regular_subgroup", lambda *_: rotations)
+    monkeypatch.setattr(symmetry, "_select", lambda *_: rotations)
     assert symmetry.is_cayley(graph, bound=n).reconstruct() == graph
 
 
@@ -389,6 +399,7 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
     built = {"groups": 0, "perms": 0, "graphs": 0}
     group_init, perm_init, unchecked = (groups.FiniteGroup.__init__, Permutation.__init__,
                                         Permutation._unchecked)
+    unchecked_list = Permutation._unchecked_list
     built_group = groups.FiniteGroup._built
     graph_init = graphs._BitRows.__init__
 
@@ -408,6 +419,11 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
         built["perms"] += 1
         return unchecked(images)
 
+    def counting_unchecked_list(cls, leaves):
+        out = unchecked_list(leaves)
+        built["perms"] += len(out)
+        return out
+
     def counting_graph_init(self, rows):    # SimpleGraph's and Digraph's
         built["graphs"] += 1
         graph_init(self, rows)
@@ -416,6 +432,7 @@ def test_is_cayley_builds_only_what_it_returns(graph, groups_built, perms_built,
     monkeypatch.setattr(groups.FiniteGroup, "_built", classmethod(counting_built_group))
     monkeypatch.setattr(Permutation, "__init__", counting_perm_init)
     monkeypatch.setattr(Permutation, "_unchecked", classmethod(counting_unchecked))
+    monkeypatch.setattr(Permutation, "_unchecked_list", classmethod(counting_unchecked_list))
     monkeypatch.setattr(graphs._BitRows, "__init__", counting_graph_init)
     assert symmetry.is_vertex_transitive(graph)
     assert built == {"groups": 0, "perms": 0, "graphs": 0}
@@ -843,10 +860,18 @@ def test_semiregular_filter_never_changes_the_kernel_result(graph, data) -> None
     # the unfiltered search is exponential on lists that are not closed
     assume(len(images) <= 5000)
     n = graph.order
-    assert symmetry._search_regular_subgroup(n, images) == unfiltered_regular_subgroup(n, images)
     drop = data.draw(st.integers(0, len(images) - 1))
-    partial = images[:drop] + images[drop + 1:]
-    assert symmetry._search_regular_subgroup(n, partial) == unfiltered_regular_subgroup(n, partial)
+    for perms in (images, images[:drop] + images[drop + 1:]):
+        expected = unfiltered_regular_subgroup(n, perms)
+        if expected is None or set(expected) <= set(perms):
+            found = symmetry.find_regular_subgroup(Permutation._unchecked_list(perms), n)
+            assert (None if found is None else [p.images for p in found]) == expected
+            continue
+        # completed through products the list lacks: the same selection, then rejected
+        buckets = [[p for p in perms if p[0] == v] for v in range(n)]
+        assert symmetry._regular_group(buckets).table.tolist() == [list(p) for p in expected]
+        with pytest.raises(ValueError, match="outside the input list"):
+            symmetry.find_regular_subgroup(Permutation._unchecked_list(perms), n)
 
 
 # -- candidates drawn lazily from targeted searches --------------------------------
@@ -869,8 +894,10 @@ def test_lazy_draws_are_the_moving_buckets_of_the_listing(graph) -> None:
     for v in range(n):
         moving = [p for p in listing if p[0] == v and all(p[x] != x for x in range(n))]
         assert list(search.leaves(v, moving=True)) == moving
-    assert (symmetry._search_regular_subgroup(n, search)
-            == symmetry._search_regular_subgroup(n, listing))
+    drawn = symmetry._regular_group([search.leaves(v, moving=True) for v in range(n)])
+    listed = symmetry.find_regular_subgroup(Permutation._unchecked_list(listing), n)
+    assert (None if drawn is None else drawn.table.tolist()) == (
+        None if listed is None else [list(p.images) for p in listed])
 
 
 def hypercube(d: int) -> SimpleGraph:
@@ -893,7 +920,8 @@ def test_lazy_draws_select_the_listings_first_subgroup(name) -> None:
     n = graph.order
     listed = [list(p.images) for p in
               symmetry.find_regular_subgroup(symmetry.automorphisms(graph, bound), n)]
-    drawn = symmetry._regular_group(n, symmetry._Search(graph.rows, bound))
+    search = symmetry._Search(graph.rows, bound)
+    drawn = symmetry._regular_group([search.leaves(v, moving=True) for v in range(n)])
     assert drawn.table.tolist() == listed
     if len(symmetry._components(graph.rows)) == 1:
         # stage 5 searches the graph itself; 6K2 is decided on one K2 and lifted
