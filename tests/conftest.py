@@ -55,6 +55,35 @@ def disjoint_union(*graphs):
     return type(graphs[0]).from_matrix(matrix)
 
 
+def twin_blow_up(base, sizes, closed):
+    """Base vertex a replaced by a class of sizes[a] twins, one after another.
+
+    The members of a class relate to every other vertex as a did; they are
+    joined to each other both ways when closed[a] (closed twins) and not at
+    all otherwise (open twins).  Uniform sizes and types give the
+    lexicographic product of base with K_s or its complement.
+    """
+    owner = [a for a, size in enumerate(sizes) for _ in range(size)]
+    n = len(owner)
+    return type(base).from_matrix(
+        [[int(x != y and (closed[owner[x]] if owner[x] == owner[y]
+                          else (base.rows[owner[x]] >> owner[y]) & 1))
+          for y in range(n)] for x in range(n)])
+
+
+def has_twins(graph) -> bool:
+    """True iff swapping some two vertices is an automorphism, by definition."""
+    n, rows = graph.order, graph.rows
+
+    def arc(x, y):
+        return (rows[x] >> y) & 1
+
+    return any(arc(u, w) == arc(w, u)
+               and all(arc(u, x) == arc(w, x) and arc(x, u) == arc(x, w)
+                       for x in range(n) if x not in (u, w))
+               for u in range(n) for w in range(u + 1, n))
+
+
 def complement(graph):
     """Every ordered pair of distinct vertices joined exactly when it was not."""
     n = graph.order
