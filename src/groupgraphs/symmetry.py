@@ -16,9 +16,10 @@ search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
 The automorphism search (`_Search`) builds its tables once per graph,
 answers vertex-transitivity without listing the group, and yields its
-leaves one at a time from one generator, `leaves`; once the vertices left
-are interchangeable, it yields their images from itertools.permutations,
-in the same lex order.  The selection (`_regular_group`) is one backtrack
+leaves one at a time from one generator, `leaves`; in a full listing, once
+the vertices left fall into twin classes, each onto a mask of twins, it
+yields their images from itertools.permutations of each class, in the
+same lex order.  The selection (`_regular_group`) is one backtrack
 over per-vertex sources, the candidates sending 0 to v in lex order.
 `is_cayley` lists no group either: its source for v is a targeted search
 0 -> v that skips every leaf with a fixed point, drawn lazily, only when
@@ -47,7 +48,9 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
+from math import factorial, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -168,9 +171,12 @@ def find_regular_subgroup(auts: list[Permutation], n: int) -> list[Permutation] 
     returned ordered by their image of 0.  Only semiregular candidates
     are tried: every non-identity member of a regular group fixes no
     vertex and has cycles of one length, so dropping the others never
-    changes the result.  Every permutation must have degree n.  The members
-    are checked as in is_cayley, then against the list (it may not be closed).
+    changes the result.  n must be positive, and every permutation must have
+    degree n.  The members are checked as in is_cayley, then against the list
+    (it may not be closed).
     """
+    if n < 1:
+        raise ValueError(f"n = {n} given; a graph has at least one vertex")
     degrees = {p.degree for p in auts} - {n}
     if degrees:
         raise ValueError(f"permutations of degree {min(degrees)} given with n = {n}")
@@ -382,15 +388,20 @@ class _Search:
     of it, a targeted search its first leaf, and a draw one more leaf of a
     suspended loop.
 
-    A tail replaces a subtree.  For k >= tail_from with n - k >= 4, the
-    vertices k.. are pairwise joined by one symmetric code (both arcs, or
-    neither); when a try at depth k - 1 leaves them one mask M, the leaves
-    below it are the prefix followed by permutations(sorted(M)), in the
-    backtrack's lex order.  Every bijection onto M fits: the masks start
-    inside the (out-degree, in-degree) classes, so M is the n - k unused
-    images, each joining the placed images as the vertices k.. join theirs,
-    and equal degrees then join M pairwise by that code.  Shorter tails cost
-    more than they save.
+    A twin tail replaces a subtree of a full listing.  Two vertices are
+    twins when swapping them is an automorphism (`_twin_tails`).  When a
+    try at depth k leaves the vertices after k, put in groups by twin class,
+    each with one mask M of its own size inside one twin class, and the
+    masks are disjoint, every leaf below sends each group onto its mask.
+    Swapping two twins of one mask is an automorphism that fixes the images
+    placed so far, so the bijections that do so are all leaves or none, and
+    one of them, checked on representatives, decides which (`_TwinTail`).
+    With one group of two or more, the leaves are permutations(sorted(M))
+    around the fixed images, in the backtrack's lex order; with more, whose
+    labels may interleave, their product is placed and sorted, so only a
+    subtree of at most 5040 leaves takes it.  Depths where prod |group|! is
+    below 24 take none: shorter tails cost more than they save.  A targeted
+    search or a draw takes none either; it wants few leaves.
     """
 
     def __init__(self, rows: Sequence[int], bound: int):
@@ -412,12 +423,7 @@ class _Search:
         # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
         self.keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r)
                      for v, (r, c) in enumerate(zip(rows, cols))]
-        # tail_from: the first depth k <= n - 4 whose vertices k.. are pairwise
-        # joined by one symmetric code (both arcs, or neither), else n
-        code, k = (self.later[n - 2][0][1] if n > 1 else 1), n - 1
-        while k and code in (0, 3) and not ((1 << n) - (1 << k)) & ~self.keep[k - 1][code]:
-            k -= 1  # vertex k - 1 joins each vertex after it by code
-        self.tail_from = k if k <= n - 4 else n
+        self.rows, self.cols = rows, cols
 
     def leaves(self, target: int | None = None,
                moving: bool = False) -> Iterator[tuple[int, ...]]:
@@ -433,7 +439,8 @@ class _Search:
         masks = [start] + [[0] * n for _ in range(n)]
         frames = list(zip(masks, masks[1:], self.later))  # what depth k reads and writes
         img = [0] * n
-        first, last = self.tail_from - 1, n - 5  # the depths whose tries may start a tail
+        # tails[k]: the twin tail a try at depth k may take; only a full listing takes one
+        tails = self._twin_tails() if target is None and not moving else [None] * n
         stack = [start[0]]  # the untried images of each unfinished depth
         while stack:
             left = stack.pop()
@@ -451,12 +458,12 @@ class _Search:
                 else:
                     img[k] = v
                     if k < n - 2:
-                        # a tail (see the class docstring): the vertices after k have one mask
-                        if (first <= k <= last
-                                and narrowed[k + 1:].count(narrowed[-1]) == n - k - 1):
-                            yield from map(tuple(img[:k + 1]).__add__,
-                                           permutations(_vertices(narrowed[-1])))
-                            continue
+                        tail = tails[k]
+                        if tail is not None:
+                            below = tail.leaves(img, narrowed)
+                            if below is not None:
+                                yield from below
+                                continue
                         stack.append(left)
                         k += 1
                         cand, narrowed, checks = frames[k]
@@ -489,6 +496,120 @@ class _Search:
             for x, y in enumerate(found):
                 orbit[root(x)] = root(y)
         return True
+
+    def _twin_tails(self) -> list[_TwinTail | None]:
+        """The twin tail a try at each depth k may take, or None.
+
+        Two vertices are twins when swapping them is an automorphism: the
+        same arcs to and from every other vertex, and both arcs between them
+        (closed twins) or neither (open).  Conjugating one swap by another
+        makes this an equivalence, and a class of two or more is all open or
+        all closed.  Depth k may take a tail when the vertices after it, put
+        in groups by twin class, have prod |group|! >= 24 (shorter tails cost
+        more than they save), and when that product is at most 5040 if two or
+        more groups have more than one vertex (their tails are sorted).
+        """
+        n = self.n
+        classes: dict[int, int] = {}  # twins as one key: row, then col, as one int
+        for v, (row, col) in enumerate(zip(self.rows, self.cols)):
+            bit = 1 << v
+            key = row << n | col  # open twins share it
+            classes[key] = classes.get(key, 0) | bit
+            key |= bit << n | bit  # closed twins share it (no open key does: no loops)
+            classes[key] = classes.get(key, 0) | bit
+        twin = [1 << v for v in range(n)]  # twin[v]: the mask of v's twin class
+        shared_classes = [mask for mask in classes.values() if mask & (mask - 1)]
+        for mask in shared_classes:
+            for v in _vertices(mask):
+                twin[v] = mask
+        tails: list[_TwinTail | None] = [None] * n
+        if prod(factorial((mask & ~1).bit_count()) for mask in shared_classes) < 24:
+            return tails  # not even depth 0, whose groups are the largest
+        sizes: dict[int, int] = {}
+        product = 1  # prod |group|! over the groups of the vertices after k
+        shared = 0  # the groups of two or more
+        for k in range(n - 2, -1, -1):
+            size = sizes[twin[k + 1]] = sizes.get(twin[k + 1], 0) + 1
+            product *= size
+            shared += size == 2
+            if product >= 24 and (shared == 1 or product <= 5040):
+                tails[k] = _TwinTail(self, k, twin)
+        return tails
+
+
+class _TwinTail:
+    """The tail of one depth k: the vertices after k in groups by twin class.
+
+    A try k -> v ends in this tail when every group has one mask, of its
+    own size and inside one twin class, and the masks are disjoint.  Then
+    every leaf below sends each group onto its mask, and the bijections
+    that do are all leaves or none (see `_Search`).  The masks hold their
+    arcs to the placed images already; twins relate alike to every other
+    vertex, so the bijection sending each group in order onto its mask in
+    order is a leaf iff it keeps the arcs between the first vertices of the
+    groups, and between the first two of each group of two or more.
+    """
+
+    __slots__ = ("k", "width", "groups", "twin", "keep", "pairs", "singles", "shared", "getter")
+
+    def __init__(self, search: _Search, k: int, twin: list[int]):
+        n = search.n
+        classes: dict[int, list[int]] = {}
+        for u in range(k + 1, n):
+            classes.setdefault(twin[u], []).append(u)
+        groups = list(classes.values())  # ordered by their first vertex
+        self.k, self.width, self.twin, self.keep = k, n - k - 1, twin, search.keep
+        self.groups = [(group[0], group[1:], len(group)) for group in groups]
+        self.singles = [i for i, group in enumerate(groups) if len(group) == 1]
+        self.shared = [i for i, group in enumerate(groups) if len(group) > 1]
+        # (i, j, code): the i-th and j-th representatives a < b, joined by code as
+        # later[a] records it; the firsts of the groups, then the shared groups' seconds
+        reps = [group[0] for group in groups] + [groups[i][1] for i in self.shared]
+        self.pairs = [(i, j, search.later[reps[i]][reps[j] - reps[i] - 1][1])
+                      for i, j in [*combinations(range(len(groups)), 2),
+                                   *((i, len(groups) + s) for s, i in enumerate(self.shared))]]
+        # a leaf is the prefix, the singles' images and each shared group's images, in that
+        # order, placed into label order by one itemgetter unless that order is already it
+        placed = [*range(k + 1), *(groups[i][0] for i in self.singles),
+                  *(u for i in self.shared for u in groups[i])]
+        order = sorted(range(n), key=placed.__getitem__)
+        self.getter = None if order == list(range(n)) else itemgetter(*order)
+
+    def leaves(self, img: list[int], narrowed: list[int]) -> Iterable[tuple[int, ...]] | None:
+        """The leaves below the try k -> img[k], in lex order, from its masks;
+        None when the masks are not those of this tail."""
+        masks = []
+        union = 0
+        twin = self.twin
+        for first, rest, size in self.groups:
+            m = narrowed[first]
+            if m.bit_count() != size:
+                return None
+            for u in rest:
+                if narrowed[u] != m:
+                    return None
+            if rest and m & ~twin[(m & -m).bit_length() - 1]:
+                return None  # the mask spans two twin classes
+            masks.append(m)
+            union |= m
+        if union.bit_count() != self.width:
+            return None  # two masks overlap
+        shared = [masks[i] for i in self.shared]
+        images = [(m & -m).bit_length() - 1 for m in masks]
+        images += [(m & m - 1 & -(m & m - 1)).bit_length() - 1 for m in shared]
+        keep = self.keep
+        if not all(keep[images[a]][code] >> images[b] & 1 for a, b, code in self.pairs):
+            return ()  # twins make every bijection onto the masks a leaf, or none
+        prefix = tuple(img[:self.k + 1] + [images[i] for i in self.singles])
+        if len(shared) == 1:
+            below: Iterable[tuple[int, ...]] = map(prefix.__add__,
+                                                   permutations(_vertices(shared[0])))
+            return below if self.getter is None else map(self.getter, below)
+        below = [prefix]
+        for m in shared:
+            orders = list(permutations(_vertices(m)))
+            below = [leaf + p for leaf in below for p in orders]
+        return below if self.getter is None else sorted(map(self.getter, below))
 
 
 def _semiregular(p: tuple[int, ...]) -> bool:

@@ -32,6 +32,7 @@ from tests.conftest import (
     reference_search,
     relabel,
     to_networkx,
+    twin_blow_up,
     unfiltered_regular_subgroup,
 )
 
@@ -251,6 +252,19 @@ def test_find_regular_subgroup_finds_nothing_where_a_vertex_has_no_candidate() -
     assert symmetry.find_regular_subgroup(rotations, 5) is None
     assert symmetry.find_regular_subgroup(symmetry.automorphisms(complete_bipartite(1, 3)),
                                           4) is None
+
+
+def test_find_regular_subgroup_finds_nothing_where_no_selection_completes() -> None:
+    # Petersen is vertex-transitive, so every vertex has candidates, but it is not Cayley
+    assert symmetry.find_regular_subgroup(symmetry.automorphisms(petersen_graph()), 10) is None
+
+
+def test_find_regular_subgroup_rejects_an_order_below_one() -> None:
+    for auts in ([Permutation(())], []):
+        with pytest.raises(ValueError, match="n = 0 given"):
+            symmetry.find_regular_subgroup(auts, 0)
+    with pytest.raises(ValueError, match="n = -1 given"):
+        symmetry.find_regular_subgroup([], -1)
 
 
 def test_find_regular_subgroup_rejects_a_list_that_is_not_closed() -> None:
@@ -661,8 +675,8 @@ def rotational_tournament_tail() -> Digraph:
                              + [(1 + i, 1 + (i + d) % 5) for i in range(5) for d in (1, 2)])
 
 
-# the cases a tail can take (every unplaced vertex with one mask, joined by one
-# symmetric code), and near misses: codes 1 and 2, or a centre placed late
+# the cases a tail can take (the unplaced vertices in twin classes, each onto a mask
+# of twins), and near misses: codes 1 and 2, or twin masks that no bijection fits
 TAIL_CASES = {
     **{f"K{n}": SimpleGraph.complete(n) for n in range(4, 9)},
     **{f"edgeless{n}": SimpleGraph([0] * n) for n in range(4, 9)},
@@ -675,12 +689,15 @@ TAIL_CASES = {
     "complete digraph": Digraph.from_arcs(6, [(u, v) for u in range(6) for v in range(6) if u != v]),
     "tournament tail": tournament_tail(),
     "rotational tournament tail": rotational_tournament_tail(),
+    # cubic, with twin classes of 4 closed and 3 + 3 open: tries that send a vertex of
+    # K3,3 into K4 leave twin masks, but closed onto open, so no leaf lies below them
+    "K4 beside K3,3 relabelled": shuffled(disjoint_union(SimpleGraph.complete(4),
+                                                         complete_bipartite(3, 3))),
 }
 
 
-@pytest.mark.parametrize("name", TAIL_CASES)
-def test_tails_match_the_reference_kernel(name) -> None:
-    graph = TAIL_CASES[name]
+def assert_tails_match_the_reference(graph) -> None:
+    """The listing, first leaves and moving leaves of each target, as the reference's."""
     assert_search_matches_reference(graph)
     search = symmetry._Search(graph.rows, graph.order)
     moving = reference_search(search, moving=True)
@@ -688,7 +705,33 @@ def test_tails_match_the_reference_kernel(name) -> None:
         assert list(search.leaves(v, moving=True)) == [p for p in moving if p[0] == v]
 
 
-def test_tails_are_taken_only_on_symmetric_codes(monkeypatch) -> None:
+@pytest.mark.parametrize("name", TAIL_CASES)
+def test_tails_match_the_reference_kernel(name) -> None:
+    assert_tails_match_the_reference(TAIL_CASES[name])
+
+
+@st.composite
+def twin_blow_ups(draw):
+    """A random graph or digraph on 1-5 vertices, each vertex made an open or
+    closed class of 1-3 twins (classes of twin vertices merge), relabelled."""
+    base = draw(random_graphs(5))
+    m = base.order
+    sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    closed = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    graph = twin_blow_up(base, sizes, closed)
+    return relabel(graph, draw(st.permutations(range(graph.order))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(twin_blow_ups())
+def test_twin_tails_match_the_reference_kernel(graph) -> None:
+    # the reference copies n masks per node: keep the listings short
+    assume(degree_class_bound(graph) <= 5000)
+    assert_tails_match_the_reference(graph)
+
+
+def counted_tails(monkeypatch) -> list[int]:
+    """The length of each run of images a tail permutes, as the tails take them."""
     tails = []
 
     def counting(images):
@@ -696,15 +739,34 @@ def test_tails_are_taken_only_on_symmetric_codes(monkeypatch) -> None:
         return permutations(images)
 
     monkeypatch.setattr(symmetry, "permutations", counting)
+    return tails
+
+
+def test_tails_are_taken_only_on_symmetric_codes(monkeypatch) -> None:
+    tails = counted_tails(monkeypatch)
     assert len(symmetry.automorphisms(SimpleGraph.complete(8))) == 40320
     # depth 0 takes no tail; each of its 8 tries leaves a tail of 7 vertices
     assert tails == [7] * 8
     tails.clear()
     for graph in (tournament_tail(), rotational_tournament_tail()):
         search = symmetry._Search(graph.rows, graph.order)
-        assert search.tail_from == graph.order
+        # codes 1 and 2 join no twins, so no depth may take a tail
+        assert search._twin_tails() == [None] * graph.order
         assert len(list(search.leaves())) == len(brute_force_automorphisms(graph))
     assert tails == []
+
+
+def test_interleaved_twin_classes_take_tails(monkeypatch) -> None:
+    tails = counted_tails(monkeypatch)
+    # K5,5 with its sides interleaved: each of depth 0's 10 tries ends in one tail,
+    # the 5 images of the other side, then the 4 left on the side of vertex 0
+    assert len(symmetry.automorphisms(graphs.from_graph6("IlUilTTig"))) == 28800
+    assert tails == [5, 4] * 10
+    tails.clear()
+    # K1,8 with its centre at label 8: each of depth 0's 8 tries ends in one tail
+    # of the 7 leaves left, the centre's image fixed between them
+    assert len(symmetry.automorphisms(graphs.from_graph6("H????B~"))) == 40320
+    assert tails == [7] * 8
 
 
 def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
