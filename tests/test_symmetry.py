@@ -713,7 +713,8 @@ def test_tails_match_the_reference_kernel(name) -> None:
 @st.composite
 def twin_blow_ups(draw):
     """A random graph or digraph on 1-5 vertices, each vertex made an open or
-    closed class of 1-3 twins (classes of twin vertices merge), relabelled."""
+    closed class of 1-3 twins, relabelled; the classes of twin base vertices
+    may merge into one."""
     base = draw(random_graphs(5))
     m = base.order
     sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
@@ -750,7 +751,7 @@ def test_tails_are_taken_only_on_symmetric_codes(monkeypatch) -> None:
     tails.clear()
     for graph in (tournament_tail(), rotational_tournament_tail()):
         search = symmetry._Search(graph.rows, graph.order)
-        # codes 1 and 2 join no twins, so no depth may take a tail
+        # codes 1 and 2 join no twins; the first's K3 is too small a class for a tail
         assert search._twin_tails() == [None] * graph.order
         assert len(list(search.leaves())) == len(brute_force_automorphisms(graph))
     assert tails == []
@@ -764,7 +765,7 @@ def test_interleaved_twin_classes_take_tails(monkeypatch) -> None:
     assert tails == [5, 4] * 10
     tails.clear()
     # K1,8 with its centre at label 8: each of depth 0's 8 tries ends in one tail
-    # of the 7 leaves left, the centre's image fixed between them
+    # of the 7 leaves left, the centre's image fixed after them
     assert len(symmetry.automorphisms(graphs.from_graph6("H????B~"))) == 40320
     assert tails == [7] * 8
 
