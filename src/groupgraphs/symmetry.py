@@ -48,8 +48,7 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import factorial, prod
+from itertools import permutations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -389,13 +388,13 @@ class _Search:
     suspended loop.
 
     A twin tail replaces a subtree of a full listing.  Two vertices are
-    twins when swapping them is an automorphism (`_twin_tails`).  When a
-    try at depth k leaves the vertices after k, put in groups by twin class,
-    each with one mask M of its own size inside one twin class, and the
-    masks are disjoint, every leaf below sends each group onto its mask.
-    Swapping two twins of one mask is an automorphism that fixes the images
-    placed so far, so the bijections that do so are all leaves or none, and
-    one of them, checked on representatives, decides which (`_TwinTail`).
+    twins when swapping them is an automorphism (`_Twins`).  When a try at
+    depth k leaves the vertices after k, put in groups by twin class, each
+    with one mask M of its own size inside one twin class, every leaf below
+    sends each group onto its mask.  Swapping two twins of one mask is an
+    automorphism that fixes the images placed so far, so the bijections
+    that do so are all leaves or none, and one of them, checked on
+    representatives, decides which.
     With one group of two or more, the leaves are permutations(sorted(M))
     around the fixed images, in the backtrack's lex order; with more, whose
     labels may interleave, their product is placed and sorted, so only a
@@ -460,7 +459,7 @@ class _Search:
                     if k < n - 2:
                         tail = tails[k]
                         if tail is not None:
-                            below = tail.leaves(img, narrowed)
+                            below = tail.leaves(k, img, narrowed)
                             if below is not None:
                                 yield from below
                                 continue
@@ -497,119 +496,112 @@ class _Search:
                 orbit[root(x)] = root(y)
         return True
 
-    def _twin_tails(self) -> list[_TwinTail | None]:
-        """The twin tail a try at each depth k may take, or None.
+    def _twin_tails(self) -> list[_Twins | None]:
+        """The graph's `_Twins` at each depth k whose tries may take a twin
+        tail, else None: where the vertices after k, put in groups by twin
+        class, have prod |group|! >= 24 (shorter tails cost more than they
+        save), and at most 5040 if two or more groups have more than one
+        vertex (their tails are sorted).  Built when a full listing starts:
+        O(n) ints and one n-bit mask per twin class."""
+        twins = _Twins(self)
+        tails: list[_Twins | None] = [None] * self.n
+        product = 1  # prod |group|! over the groups of the vertices after k
+        shared = 0  # the groups of two or more
+        for k in range(self.n - 2, -1, -1):
+            size = twins.links[k + 1][1]  # vertex k + 1 joins a group of this size
+            product *= size
+            shared += size == 2
+            if product >= 24 and (shared == 1 or product <= 5040):
+                tails[k] = twins
+        return tails
 
-        Two vertices are twins when swapping them is an automorphism: the
-        same arcs to and from every other vertex, and both arcs between them
-        (closed twins) or neither (open).  Conjugating one swap by another
-        makes this an equivalence, and a class of two or more is all open or
-        all closed.  Depth k may take a tail when the vertices after it, put
-        in groups by twin class, have prod |group|! >= 24 (shorter tails cost
-        more than they save), and when that product is at most 5040 if two or
-        more groups have more than one vertex (their tails are sorted).
-        """
-        n = self.n
+
+class _Twins:
+    """The twin classes of a search's graph, and the tail they give a try.
+
+    Two vertices are twins when swapping them is an automorphism: the same
+    arcs to and from every other vertex, and both arcs between them (closed
+    twins) or neither (open).  Conjugating one swap by another makes this an
+    equivalence, and a class of two or more is all open or all closed.
+
+    A try k -> v of a full listing ends in a tail when the vertices after k,
+    in groups by twin class, each have one mask, of the group's own size.
+    Each vertex goes into its mask and the sizes add up to the images left,
+    so every leaf below sends each group onto its mask: it is the bijection
+    bij sending each group in order onto its mask in order, after a
+    permutation of each group.  Swapping two twins after k is an
+    automorphism that fixes 0..k, so these are all leaves if bij is one,
+    and none is if bij is not.  The masks hold their arcs to the placed
+    images already, so bij is checked on every pair of vertices after k
+    (keep never holds a vertex itself, so two groups with one mask fail,
+    and a leaf sends twins to twins, so a mask across two twin classes
+    fails).  A try builds the groups as it checks them: a listing holds no
+    table per depth.
+    """
+
+    __slots__ = ("n", "twin", "links", "keep", "later")
+
+    def __init__(self, search: _Search):
+        n = self.n = search.n
         classes: dict[int, int] = {}  # twins as one key: row, then col, as one int
-        for v, (row, col) in enumerate(zip(self.rows, self.cols)):
+        for v, (row, col) in enumerate(zip(search.rows, search.cols)):
             bit = 1 << v
             key = row << n | col  # open twins share it
             classes[key] = classes.get(key, 0) | bit
             key |= bit << n | bit  # closed twins share it (no open key does: no loops)
             classes[key] = classes.get(key, 0) | bit
-        twin = [1 << v for v in range(n)]  # twin[v]: the mask of v's twin class
-        shared_classes = [mask for mask in classes.values() if mask & (mask - 1)]
-        for mask in shared_classes:
-            for v in _vertices(mask):
-                twin[v] = mask
-        tails: list[_TwinTail | None] = [None] * n
-        if prod(factorial((mask & ~1).bit_count()) for mask in shared_classes) < 24:
-            return tails  # not even depth 0, whose groups are the largest
-        sizes: dict[int, int] = {}
-        product = 1  # prod |group|! over the groups of the vertices after k
-        shared = 0  # the groups of two or more
-        for k in range(n - 2, -1, -1):
-            size = sizes[twin[k + 1]] = sizes.get(twin[k + 1], 0) + 1
-            product *= size
-            shared += size == 2
-            if product >= 24 and (shared == 1 or product <= 5040):
-                tails[k] = _TwinTail(self, k, twin)
-        return tails
+        twin = self.twin = [1 << v for v in range(n)]  # twin[v]: the mask of v's twin class
+        for mask in classes.values():
+            if mask & (mask - 1):
+                for v in _vertices(mask):
+                    twin[v] = mask
+        # links[u]: the vertex of u's class before u (-1 if none), and how many of
+        # its class are u or after it
+        self.links = [((mask & ((1 << u) - 1)).bit_length() - 1, (mask >> u).bit_count())
+                      for u, mask in enumerate(twin)]
+        self.keep, self.later = search.keep, search.later
 
-
-class _TwinTail:
-    """The tail of one depth k: the vertices after k in groups by twin class.
-
-    A try k -> v ends in this tail when every group has one mask, of its
-    own size and inside one twin class, and the masks are disjoint.  Then
-    every leaf below sends each group onto its mask, and the bijections
-    that do are all leaves or none (see `_Search`).  The masks hold their
-    arcs to the placed images already; twins relate alike to every other
-    vertex, so the bijection sending each group in order onto its mask in
-    order is a leaf iff it keeps the arcs between the first vertices of the
-    groups, and between the first two of each group of two or more.
-    """
-
-    __slots__ = ("k", "width", "groups", "twin", "keep", "pairs", "singles", "shared", "getter")
-
-    def __init__(self, search: _Search, k: int, twin: list[int]):
-        n = search.n
-        classes: dict[int, list[int]] = {}
-        for u in range(k + 1, n):
-            classes.setdefault(twin[u], []).append(u)
-        groups = list(classes.values())  # ordered by their first vertex
-        self.k, self.width, self.twin, self.keep = k, n - k - 1, twin, search.keep
-        self.groups = [(group[0], group[1:], len(group)) for group in groups]
-        self.singles = [i for i, group in enumerate(groups) if len(group) == 1]
-        self.shared = [i for i, group in enumerate(groups) if len(group) > 1]
-        # (i, j, code): the i-th and j-th representatives a < b, joined by code as
-        # later[a] records it; the firsts of the groups, then the shared groups' seconds
-        reps = [group[0] for group in groups] + [groups[i][1] for i in self.shared]
-        self.pairs = [(i, j, search.later[reps[i]][reps[j] - reps[i] - 1][1])
-                      for i, j in [*combinations(range(len(groups)), 2),
-                                   *((i, len(groups) + s) for s, i in enumerate(self.shared))]]
-        # a leaf is the prefix, the singles' images and each shared group's images, in that
-        # order, placed into label order by one itemgetter unless that order is already it
-        placed = [*range(k + 1), *(groups[i][0] for i in self.singles),
-                  *(u for i in self.shared for u in groups[i])]
-        order = sorted(range(n), key=placed.__getitem__)
-        self.getter = None if order == list(range(n)) else itemgetter(*order)
-
-    def leaves(self, img: list[int], narrowed: list[int]) -> Iterable[tuple[int, ...]] | None:
+    def leaves(self, k: int, img: list[int],
+               narrowed: list[int]) -> Iterable[tuple[int, ...]] | None:
         """The leaves below the try k -> img[k], in lex order, from its masks;
-        None when the masks are not those of this tail."""
-        masks = []
-        union = 0
-        twin = self.twin
-        for first, rest, size in self.groups:
-            m = narrowed[first]
-            if m.bit_count() != size:
+        None when the masks are not those of a tail."""
+        links, n = self.links, self.n
+        for u in range(k + 1, n):  # most tries fail here: it allocates nothing
+            m = narrowed[u]
+            before, size = links[u]
+            if m != narrowed[before] if before > k else m.bit_count() != size:
                 return None
-            for u in rest:
-                if narrowed[u] != m:
-                    return None
-            if rest and m & ~twin[(m & -m).bit_length() - 1]:
-                return None  # the mask spans two twin classes
-            masks.append(m)
-            union |= m
-        if union.bit_count() != self.width:
-            return None  # two masks overlap
-        shared = [masks[i] for i in self.shared]
-        images = [(m & -m).bit_length() - 1 for m in masks]
-        images += [(m & m - 1 & -(m & m - 1)).bit_length() - 1 for m in shared]
-        keep = self.keep
-        if not all(keep[images[a]][code] >> images[b] & 1 for a, b, code in self.pairs):
-            return ()  # twins make every bijection onto the masks a leaf, or none
-        prefix = tuple(img[:self.k + 1] + [images[i] for i in self.singles])
+        # each group by its first vertex; bij sends each in order onto its mask in order
+        groups = {u: _vertices(self.twin[u] >> u << u) for u in range(k + 1, n) if links[u][0] <= k}
+        bij = img[:k + 1] + [0] * (n - k - 1)
+        for u, group in groups.items():
+            for w, x in zip(group, _vertices(narrowed[u])):
+                bij[w] = x
+        keep, later = self.keep, self.later
+        if not all(keep[bij[u]][code] >> bij[w] & 1
+                   for u in range(k + 1, n) for w, code in later[u]):
+            return ()  # bij is no leaf, so no bijection onto the masks is one
+        singles = [u for u, group in groups.items() if len(group) == 1]
+        shared = [u for u, group in groups.items() if len(group) > 1]
+        prefix = tuple(bij[:k + 1] + [bij[u] for u in singles])
+        # a leaf is the prefix, the singles' images and each shared group's images, in
+        # that order, placed into label order by one itemgetter unless that is already it
+        placed = [*range(k + 1), *singles, *(w for u in shared for w in groups[u])]
+        getter = None
+        if any(u > w for u, w in zip(placed, placed[1:])):
+            order = [0] * n
+            for i, w in enumerate(placed):
+                order[w] = i
+            getter = itemgetter(*order)
         if len(shared) == 1:
             below: Iterable[tuple[int, ...]] = map(prefix.__add__,
-                                                   permutations(_vertices(shared[0])))
-            return below if self.getter is None else map(self.getter, below)
+                                                   permutations(_vertices(narrowed[shared[0]])))
+            return below if getter is None else map(getter, below)
         below = [prefix]
-        for m in shared:
-            orders = list(permutations(_vertices(m)))
+        for u in shared:
+            orders = list(permutations(_vertices(narrowed[u])))
             below = [leaf + p for leaf in below for p in orders]
-        return below if self.getter is None else sorted(map(self.getter, below))
+        return below if getter is None else sorted(map(getter, below))
 
 
 def _semiregular(p: tuple[int, ...]) -> bool:

@@ -7,6 +7,7 @@ import hashlib
 import math
 import random
 import sys
+import tracemalloc
 from itertools import combinations, islice, permutations
 
 import networkx as nx
@@ -693,6 +694,14 @@ TAIL_CASES = {
     # K3,3 into K4 leave twin masks, but closed onto open, so no leaf lies below them
     "K4 beside K3,3 relabelled": shuffled(disjoint_union(SimpleGraph.complete(4),
                                                          complete_bipartite(3, 3))),
+    # 0 joined to the triangles {1, 5, 9} and {2, 6, 7}, the second joined to the
+    # independent {3, 4, 8}: the try 0 -> 2 gives each class a mask of its size,
+    # the first triangle onto {3, 4, 8} and the second onto the triangle {0, 6, 7}
+    # across two classes, and only pairs inside one class tell it is no leaf
+    "triangles and an independent triple": SimpleGraph.from_edges(
+        10, [(0, v) for v in (1, 5, 9, 2, 6, 7)] + list(combinations((1, 5, 9), 2))
+        + list(combinations((2, 6, 7), 2))
+        + [(u, v) for u in (2, 6, 7) for v in (3, 4, 8)]),
 }
 
 
@@ -768,6 +777,26 @@ def test_interleaved_twin_classes_take_tails(monkeypatch) -> None:
     # of the 7 leaves left, the centre's image fixed after them
     assert len(symmetry.automorphisms(graphs.from_graph6("H????B~"))) == 40320
     assert tails == [7] * 8
+
+
+def test_a_late_twin_class_keeps_a_long_listing_small(monkeypatch) -> None:
+    # C200 with 4 pendant leaves on vertex 0, labelled last: every depth may take a
+    # tail, so the listing must hold no table per depth (one list of representative
+    # pairs per depth held about n^3 / 6 of them, 103 MB here); measured 2.9 MB
+    tails = counted_tails(monkeypatch)
+    n = 200
+    graph = SimpleGraph.from_edges(n + 4, [(i, (i + 1) % n) for i in range(n)]
+                                   + [(0, v) for v in range(n, n + 4)])
+    tracemalloc.start()
+    try:
+        auts = symmetry.automorphisms(graph, bound=n + 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the identity and the reflection fixing 0, each with the leaves' 4! orders
+    assert len(auts) == 48
+    assert tails == [4, 4]
+    assert peak < 8e6
 
 
 def test_vertex_transitivity_skips_targets_already_reached(monkeypatch) -> None:
