@@ -781,8 +781,8 @@ def test_interleaved_twin_classes_take_tails(monkeypatch) -> None:
 
 def test_a_late_twin_class_keeps_a_long_listing_small(monkeypatch) -> None:
     # C200 with 4 pendant leaves on vertex 0, labelled last: every depth may take a
-    # tail, so the listing must hold no table per depth (one list of representative
-    # pairs per depth held about n^3 / 6 of them, 103 MB here); measured 2.9 MB
+    # tail, so the listing must hold no table per depth (a list of the pairs of
+    # groups at each depth would be about n^3 / 6 entries, 100 MB); measured 2.9 MB
     tails = counted_tails(monkeypatch)
     n = 200
     graph = SimpleGraph.from_edges(n + 4, [(i, (i + 1) % n) for i in range(n)]
