@@ -13,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ElementOutOfRange, IdentityInConnectionSet, NotInverseClosed, _integer
-from .graphs import Digraph, SimpleGraph
+from .graphs import Digraph, SimpleGraph, _from_matrix
 from .groups import FiniteGroup
 from .perms import Permutation
 
@@ -65,9 +65,9 @@ class ConnectionSet:
 def _cayley_rows(group: FiniteGroup, connection: ConnectionSet) -> list[int]:
     """Bit-row g sets the bits of the products g * s over s in the connection set.
 
-    The rows are OR-ed together as little-endian bytes, n x ceil(n/8) of
-    them, so the cost is O(n * |connection|) and not O(n^2).  They are
-    loop-free because the identity is not in the connection set.
+    The products are scattered into an n x n bool matrix, which
+    `_from_matrix` packs into bit-rows.  They are loop-free because the
+    identity is not in the connection set.
     """
     if connection.order != group.order:
         raise ValueError(
@@ -78,11 +78,9 @@ def _cayley_rows(group: FiniteGroup, connection: ConnectionSet) -> list[int]:
             f"identity {group.identity} may not appear in a connection set"
         )
     n = group.order
-    products = group.table[:, list(connection.members)]
-    packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(packed, (np.arange(n)[:, None], products >> 3),
-                     np.left_shift(1, products & 7).astype(np.uint8))
-    return [int.from_bytes(row, "little") for row in packed]
+    adj = np.zeros((n, n), dtype=bool)
+    adj[np.arange(n)[:, None], group.table[:, list(connection.members)]] = True
+    return _from_matrix(adj)
 
 
 def directed_cayley(group: FiniteGroup, connection: ConnectionSet) -> Digraph:

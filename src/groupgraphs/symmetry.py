@@ -16,20 +16,21 @@ search tries only semiregular candidates (no fixed vertex, one cycle
 length), because every non-identity member of a regular group is one.
 The automorphism search (`_Search`) builds its tables once per graph,
 answers vertex-transitivity without listing the group, and yields its
-leaves one at a time from one generator, `leaves`; in a full listing, once
-the vertices left fall into twin classes, each onto a mask of twins, it
-yields their images from itertools.permutations of each class, in the
-same lex order.  The selection (`_regular_group`) is one backtrack
-over per-vertex sources, the candidates sending 0 to v in lex order.
-`is_cayley` lists no group either: its source for v is a targeted search
-0 -> v that skips every leaf with a fixed point, drawn lazily, only when
-the selection reaches v, which gives the filtered candidates of the
-listing in the same lex order.  Each drawn search stays suspended until
-the selection ends, holding n + 1 mask lists of n ints (about 260 MB at
-C_1024); all are freed before `is_cayley` returns.  The sources of
-`find_regular_subgroup` are its list's buckets by image of 0, and it keeps
-every check a list needs to itself.  A listing pauses the cyclic collector: it forms no reference
-cycle, so a collection could free nothing.
+leaves one at a time from one generator, `leaves`.  A full listing of a
+graph with twins searches its twin quotient and expands each quotient
+automorphism by itertools.permutations of the twin classes (`_lifted`), in
+the same lex order; the search knows no twins.  The selection
+(`_regular_group`) is one backtrack over per-vertex sources, the
+candidates sending 0 to v in lex order.  `is_cayley` lists no group
+either: its source for v is a targeted search 0 -> v that skips every leaf
+with a fixed point, drawn lazily, only when the selection reaches v, which
+gives the filtered candidates of the listing in the same lex order.  Each
+drawn search stays suspended until the selection ends, holding n + 1 mask
+lists of n ints (about 260 MB at C_1024); all are freed before `is_cayley`
+returns.  The sources of `find_regular_subgroup` are its list's buckets by
+image of 0, and it keeps every check a list needs to itself.  A listing
+pauses the cyclic collector: it forms no reference cycle, so a collection
+could free nothing.
 
 Both questions run one reduction first (`_reduce`).  The components of
 Cay(H, S) are the cosets of <S>, each a copy of Cay(<S>, S), and t copies
@@ -48,9 +49,9 @@ from __future__ import annotations
 import enum
 import gc
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,17 +135,24 @@ def automorphisms(graph: Graph, bound: int = DEFAULT_AUT_BOUND) -> list[Permutat
 
     Adjacency-preserving for undirected graphs, arc-preserving for
     digraphs.  The list always contains the identity and is closed under
-    composition and inversion.  The cyclic collector is paused while it is
-    built: tuples of ints, their wrappers and the search's lists of ints
-    form no cycle, so a collection could free nothing.
+    composition and inversion.  A graph with twins is listed through its
+    twin quotient (`_lifted`); the bound applies to the whole graph.  The
+    cyclic collector is paused while the list is built: tuples of ints,
+    their wrappers and the search's lists of ints form no cycle, so a
+    collection could free nothing.
     """
     bound = _integer(bound, "search bound {value!r} is not an integer")
-    search = _Search(graph.rows, bound)  # checks the bound before the pause
+    n = graph.order
+    if n > bound:
+        raise SearchBoundExceeded(n, bound)  # before the pause
+    classes = _twin_classes(graph.rows)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # each leaf of the search is a bijection: an image leaves every later mask
-        return Permutation._unchecked_list(search.leaves())
+        if len(classes) == n:
+            # each leaf of the search is a bijection: an image leaves every later mask
+            return Permutation._unchecked_list(_Search(graph.rows, bound).leaves())
+        return Permutation._unchecked_list(_lifted(graph.rows, classes, bound))
     finally:
         if enabled:
             gc.enable()
@@ -362,10 +370,93 @@ def _vertices(mask: int) -> list[int]:
     return out
 
 
+def _cols(rows: Sequence[int]) -> list[int]:
+    """The relation's columns: bit u of cols[v] joins u to v."""
+    cols = [0] * len(rows)
+    for u, row in enumerate(rows):
+        for v in _vertices(row):
+            cols[v] |= 1 << u
+    return cols
+
+
 def _induced(rows: Sequence[int], vertices: list[int]) -> list[int]:
     """Bit-rows of the subgraph on `vertices`, vertices[j] renamed j."""
-    return [sum(1 << j for j, u in enumerate(vertices) if (rows[v] >> u) & 1)
-            for v in vertices]
+    bits = {u: 1 << j for j, u in enumerate(vertices)}  # u's bit in the subgraph
+    mask = sum(1 << u for u in vertices)
+    return [sum(map(bits.__getitem__, _vertices(rows[v] & mask))) for v in vertices]
+
+
+# -- the twin quotient a listing searches ---------------------------------------
+
+def _twin_classes(rows: Sequence[int]) -> list[list[int]]:
+    """The twin classes of a relation, each in label order, by lowest vertex.
+
+    Two vertices are twins when swapping them is an automorphism: the same
+    arcs to and from every other vertex, and both arcs between them (closed
+    twins) or neither (open).  Conjugating one swap by another makes this an
+    equivalence, and a class of two or more is all open or all closed.
+    """
+    n = len(rows)
+    found: dict[int, int] = {}  # twins as one key: row, then col, as one int
+    for v, (row, col) in enumerate(zip(rows, _cols(rows))):
+        bit = 1 << v
+        key = row << n | col  # open twins share it
+        found[key] = found.get(key, 0) | bit
+        key |= bit << n | bit  # closed twins share it (no open key does: no loops)
+        found[key] = found.get(key, 0) | bit
+    twin = [1 << v for v in range(n)]  # twin[v]: the mask of v's class
+    for mask in found.values():
+        if mask & (mask - 1):
+            for v in _vertices(mask):
+                twin[v] = mask
+    return [_vertices(mask) for v, mask in enumerate(twin) if mask & -mask == 1 << v]
+
+
+def _lifted(rows: Sequence[int], classes: list[list[int]],
+            bound: int) -> Iterable[tuple[int, ...]]:
+    """The automorphisms of a relation with twin classes `classes`, in lex order.
+
+    An automorphism sends twins to twins, so it permutes the classes, and
+    between two classes the arcs are all present or all absent.  So the
+    automorphisms are exactly the bijections sending each class C onto
+    tau(C), one for each permutation of C's images, where tau is an
+    automorphism of the quotient (the relation on the classes' lowest
+    vertices) that keeps each class's size and kind.  One search lists the
+    taus; each is expanded by itertools.permutations of its classes of two
+    or more.  The lifts of one tau come in lex order when those classes do
+    not interleave; lifts of two taus may, so then the list is sorted once.
+    """
+    reps = [c[0] for c in classes]
+    # a class's size, and whether it is closed (a single vertex has no loop)
+    kinds = [(len(c), rows[c[0]] >> c[-1] & 1) for c in classes]
+    quotient = list(_Search(_induced(rows, reps), bound, kinds).leaves())
+    singles = [q for q, c in enumerate(classes) if len(c) == 1]
+    shared = [q for q, c in enumerate(classes) if len(c) > 1]
+    joined = [v for q in shared for v in classes[q]]
+    ordered = len(quotient) == 1 and joined == sorted(joined)
+    if not ordered:
+        # the largest class varies fastest: each head's lifts are then one sorted run
+        shared.sort(key=lambda q: len(classes[q]))
+
+    def lifts(tau: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        heads = [tuple([reps[tau[q]] for q in singles])]
+        for q in shared[:-1]:
+            heads = [head + p for head in heads for p in permutations(classes[tau[q]])]
+        last: Iterable[tuple[int, ...]] = permutations(classes[tau[shared[-1]]])
+        if len(heads) > 1:
+            last = list(last)  # every head takes it; a single head takes it lazily
+        return chain.from_iterable(map(head.__add__, last) for head in heads)
+
+    leaves: Iterable[tuple[int, ...]] = chain.from_iterable(map(lifts, quotient))
+    # a lift lists the singles' images, then each shared class's: one itemgetter
+    # puts them into label order, unless that is already it
+    placed = [reps[q] for q in singles] + [v for q in shared for v in classes[q]]
+    if placed != sorted(placed):
+        order = [0] * len(placed)
+        for i, v in enumerate(placed):
+            order[v] = i
+        leaves = map(itemgetter(*order), leaves)
+    return leaves if ordered else sorted(leaves)
 
 
 # -- the search kernels -----------------------------------------------------
@@ -374,10 +465,11 @@ class _Search:
     """The automorphism search on one relation, its tables built once.
 
     Backtracks with one candidate mask per vertex, first its class of the
-    degree partition (same out- and in-degree).  Trying k -> v narrows the
-    mask of each later vertex u to the unused vertices whose arcs to and
-    from v match u's arcs to and from k, so any v in cand[k] fits every
-    earlier image.  A branch that empties a mask has no leaf below it and
+    degree partition (same out- and in-degree, and the same kind where the
+    caller gives kinds, as `_lifted` does).  Trying k -> v narrows the mask
+    of each later vertex u to the unused vertices whose arcs to and from v
+    match u's arcs to and from k, so any v in cand[k] fits every earlier
+    image.  A branch that empties a mask has no leaf below it and
     is never entered: the list and its order are the plain backtrack's.
     Each depth keeps one list of masks, which its tries overwrite, and the
     last vertex takes the one image left in its mask with no further try.
@@ -386,33 +478,15 @@ class _Search:
     is the generator `leaves`, the search's one entry: a listing is list()
     of it, a targeted search its first leaf, and a draw one more leaf of a
     suspended loop.
-
-    A twin tail replaces a subtree of a full listing.  Two vertices are
-    twins when swapping them is an automorphism (`_Twins`).  When a try at
-    depth k leaves the vertices after k, put in groups by twin class, each
-    with one mask M of its own size inside one twin class, every leaf below
-    sends each group onto its mask.  Swapping two twins of one mask is an
-    automorphism that fixes the images placed so far, so the bijections
-    that do so are all leaves or none, and one of them, checked on
-    representatives, decides which.
-    With one group of two or more, the leaves are permutations(sorted(M))
-    around the fixed images, in the backtrack's lex order; with more, whose
-    labels may interleave, their product is placed and sorted, so only a
-    subtree of at most 5040 leaves takes it.  Depths where prod |group|! is
-    below 24 take none: shorter tails cost more than they save.  A targeted
-    search or a draw takes none either; it wants few leaves.
     """
 
-    def __init__(self, rows: Sequence[int], bound: int):
+    def __init__(self, rows: Sequence[int], bound: int, kinds: Sequence[Hashable] = ()):
         n = self.n = len(rows)
         if n > bound:
             raise SearchBoundExceeded(n, bound)
-        cols = [0] * n  # bit u of cols[v] joins u to v
-        for u, row in enumerate(rows):
-            for v in _vertices(row):
-                cols[v] |= 1 << u
-        keys = [(rows[v].bit_count(), cols[v].bit_count()) for v in range(n)]
-        classes: dict[tuple[int, int], int] = {}
+        cols = _cols(rows)
+        keys = list(zip(map(int.bit_count, rows), map(int.bit_count, cols), kinds or [0] * n))
+        classes: dict[tuple, int] = {}
         for v, key in enumerate(keys):
             classes[key] = classes.get(key, 0) | 1 << v
         self.start = [classes[key] for key in keys]
@@ -422,7 +496,6 @@ class _Search:
         # keep[v][code]: every w != v with 2 * [w -> v] + [v -> w] == code
         self.keep = [(~(c | r | 1 << v), r & ~c, c & ~r, c & r)
                      for v, (r, c) in enumerate(zip(rows, cols))]
-        self.rows, self.cols = rows, cols
 
     def leaves(self, target: int | None = None,
                moving: bool = False) -> Iterator[tuple[int, ...]]:
@@ -438,8 +511,6 @@ class _Search:
         masks = [start] + [[0] * n for _ in range(n)]
         frames = list(zip(masks, masks[1:], self.later))  # what depth k reads and writes
         img = [0] * n
-        # tails[k]: the twin tail a try at depth k may take; only a full listing takes one
-        tails = self._twin_tails() if target is None and not moving else [None] * n
         stack = [start[0]]  # the untried images of each unfinished depth
         while stack:
             left = stack.pop()
@@ -457,12 +528,6 @@ class _Search:
                 else:
                     img[k] = v
                     if k < n - 2:
-                        tail = tails[k]
-                        if tail is not None:
-                            below = tail.leaves(k, img, narrowed)
-                            if below is not None:
-                                yield from below
-                                continue
                         stack.append(left)
                         k += 1
                         cand, narrowed, checks = frames[k]
@@ -495,113 +560,6 @@ class _Search:
             for x, y in enumerate(found):
                 orbit[root(x)] = root(y)
         return True
-
-    def _twin_tails(self) -> list[_Twins | None]:
-        """The graph's `_Twins` at each depth k whose tries may take a twin
-        tail, else None: where the vertices after k, put in groups by twin
-        class, have prod |group|! >= 24 (shorter tails cost more than they
-        save), and at most 5040 if two or more groups have more than one
-        vertex (their tails are sorted).  Built when a full listing starts:
-        O(n) ints and one n-bit mask per twin class."""
-        twins = _Twins(self)
-        tails: list[_Twins | None] = [None] * self.n
-        product = 1  # prod |group|! over the groups of the vertices after k
-        shared = 0  # the groups of two or more
-        for k in range(self.n - 2, -1, -1):
-            size = twins.links[k + 1][1]  # vertex k + 1 joins a group of this size
-            product *= size
-            shared += size == 2
-            if product >= 24 and (shared == 1 or product <= 5040):
-                tails[k] = twins
-        return tails
-
-
-class _Twins:
-    """The twin classes of a search's graph, and the tail they give a try.
-
-    Two vertices are twins when swapping them is an automorphism: the same
-    arcs to and from every other vertex, and both arcs between them (closed
-    twins) or neither (open).  Conjugating one swap by another makes this an
-    equivalence, and a class of two or more is all open or all closed.
-
-    A try k -> v of a full listing ends in a tail when the vertices after k,
-    in groups by twin class, each have one mask, of the group's own size.
-    Each vertex goes into its mask and the sizes add up to the images left,
-    so every leaf below sends each group onto its mask: it is the bijection
-    bij sending each group in order onto its mask in order, after a
-    permutation of each group.  Swapping two twins after k is an
-    automorphism that fixes 0..k, so these are all leaves if bij is one,
-    and none is if bij is not.  The masks hold their arcs to the placed
-    images already, so bij is checked on every pair of vertices after k
-    (keep never holds a vertex itself, so two groups with one mask fail,
-    and a leaf sends twins to twins, so a mask across two twin classes
-    fails).  A try builds the groups as it checks them: a listing holds no
-    table per depth.
-    """
-
-    __slots__ = ("n", "twin", "links", "keep", "later")
-
-    def __init__(self, search: _Search):
-        n = self.n = search.n
-        classes: dict[int, int] = {}  # twins as one key: row, then col, as one int
-        for v, (row, col) in enumerate(zip(search.rows, search.cols)):
-            bit = 1 << v
-            key = row << n | col  # open twins share it
-            classes[key] = classes.get(key, 0) | bit
-            key |= bit << n | bit  # closed twins share it (no open key does: no loops)
-            classes[key] = classes.get(key, 0) | bit
-        twin = self.twin = [1 << v for v in range(n)]  # twin[v]: the mask of v's twin class
-        for mask in classes.values():
-            if mask & (mask - 1):
-                for v in _vertices(mask):
-                    twin[v] = mask
-        # links[u]: the vertex of u's class before u (-1 if none), and how many of
-        # its class are u or after it
-        self.links = [((mask & ((1 << u) - 1)).bit_length() - 1, (mask >> u).bit_count())
-                      for u, mask in enumerate(twin)]
-        self.keep, self.later = search.keep, search.later
-
-    def leaves(self, k: int, img: list[int],
-               narrowed: list[int]) -> Iterable[tuple[int, ...]] | None:
-        """The leaves below the try k -> img[k], in lex order, from its masks;
-        None when the masks are not those of a tail."""
-        links, n = self.links, self.n
-        for u in range(k + 1, n):  # most tries fail here: it allocates nothing
-            m = narrowed[u]
-            before, size = links[u]
-            if m != narrowed[before] if before > k else m.bit_count() != size:
-                return None
-        # each group by its first vertex; bij sends each in order onto its mask in order
-        groups = {u: _vertices(self.twin[u] >> u << u) for u in range(k + 1, n) if links[u][0] <= k}
-        bij = img[:k + 1] + [0] * (n - k - 1)
-        for u, group in groups.items():
-            for w, x in zip(group, _vertices(narrowed[u])):
-                bij[w] = x
-        keep, later = self.keep, self.later
-        if not all(keep[bij[u]][code] >> bij[w] & 1
-                   for u in range(k + 1, n) for w, code in later[u]):
-            return ()  # bij is no leaf, so no bijection onto the masks is one
-        singles = [u for u, group in groups.items() if len(group) == 1]
-        shared = [u for u, group in groups.items() if len(group) > 1]
-        prefix = tuple(bij[:k + 1] + [bij[u] for u in singles])
-        # a leaf is the prefix, the singles' images and each shared group's images, in
-        # that order, placed into label order by one itemgetter unless that is already it
-        placed = [*range(k + 1), *singles, *(w for u in shared for w in groups[u])]
-        getter = None
-        if any(u > w for u, w in zip(placed, placed[1:])):
-            order = [0] * n
-            for i, w in enumerate(placed):
-                order[w] = i
-            getter = itemgetter(*order)
-        if len(shared) == 1:
-            below: Iterable[tuple[int, ...]] = map(prefix.__add__,
-                                                   permutations(_vertices(narrowed[shared[0]])))
-            return below if getter is None else map(getter, below)
-        below = [prefix]
-        for u in shared:
-            orders = list(permutations(_vertices(narrowed[u])))
-            below = [leaf + p for leaf in below for p in orders]
-        return below if getter is None else sorted(map(getter, below))
 
 
 def _semiregular(p: tuple[int, ...]) -> bool:

@@ -676,8 +676,8 @@ def rotational_tournament_tail() -> Digraph:
                              + [(1 + i, 1 + (i + d) % 5) for i in range(5) for d in (1, 2)])
 
 
-# the cases a tail can take (the unplaced vertices in twin classes, each onto a mask
-# of twins), and near misses: codes 1 and 2, or twin masks that no bijection fits
+# graphs with twin classes, which a listing searches through its twin quotient, and
+# near misses: codes 1 and 2, or twin masks that no bijection fits
 TAIL_CASES = {
     **{f"K{n}": SimpleGraph.complete(n) for n in range(4, 9)},
     **{f"edgeless{n}": SimpleGraph([0] * n) for n in range(4, 9)},
@@ -702,12 +702,23 @@ TAIL_CASES = {
         10, [(0, v) for v in (1, 5, 9, 2, 6, 7)] + list(combinations((1, 5, 9), 2))
         + list(combinations((2, 6, 7), 2))
         + [(u, v) for u in (2, 6, 7) for v in (3, 4, 8)]),
+    # classes that are themselves interchangeable: the quotient has 5! automorphisms,
+    # and each lifts to 2^5 automorphisms
+    "5K2 relabelled": shuffled(cliques(5, 2)),
+    "co-5K2 relabelled": shuffled(complement(cliques(5, 2))),
+    # the identity, the open class of three involutions, four closed pairs {g, g^2}
+    "pg(A4)": powergraph.undirected_power_graph(groups.alternating(4)),
+    # an open class of 2 sending arcs to a closed class of 3
+    "open and closed digraph classes": shuffled(twin_blow_up(Digraph.from_arcs(2, [(0, 1)]),
+                                                             [2, 3], [False, True])),
 }
 
 
 def assert_tails_match_the_reference(graph) -> None:
-    """The listing, first leaves and moving leaves of each target, as the reference's."""
-    assert_search_matches_reference(graph)
+    """The listing through the twin quotient, the kernel's listing, first leaves and
+    moving leaves of each target, as the reference's."""
+    listing = assert_search_matches_reference(graph)
+    assert [p.images for p in symmetry.automorphisms(graph, graph.order)] == listing
     search = symmetry._Search(graph.rows, graph.order)
     moving = reference_search(search, moving=True)
     for v in range(graph.order):
@@ -741,7 +752,7 @@ def test_twin_tails_match_the_reference_kernel(graph) -> None:
 
 
 def counted_tails(monkeypatch) -> list[int]:
-    """The length of each run of images a tail permutes, as the tails take them."""
+    """The size of each twin class a listing permutes, as it permutes them."""
     tails = []
 
     def counting(images):
@@ -754,35 +765,36 @@ def counted_tails(monkeypatch) -> list[int]:
 
 def test_tails_are_taken_only_on_symmetric_codes(monkeypatch) -> None:
     tails = counted_tails(monkeypatch)
+    # K8 is one closed class: its quotient is one vertex, and its listing one permutations()
     assert len(symmetry.automorphisms(SimpleGraph.complete(8))) == 40320
-    # depth 0 takes no tail; each of its 8 tries leaves a tail of 7 vertices
-    assert tails == [7] * 8
+    assert tails == [8]
     tails.clear()
-    for graph in (tournament_tail(), rotational_tournament_tail()):
-        search = symmetry._Search(graph.rows, graph.order)
-        # codes 1 and 2 join no twins; the first's K3 is too small a class for a tail
-        assert search._twin_tails() == [None] * graph.order
-        assert len(list(search.leaves())) == len(brute_force_automorphisms(graph))
+    # codes 1 and 2 join no twins; the first's K3 is a closed class of 3
+    assert len(symmetry.automorphisms(tournament_tail())) == 6
+    assert tails == [3]
+    tails.clear()
+    graph = rotational_tournament_tail()
+    assert len(symmetry.automorphisms(graph)) == len(brute_force_automorphisms(graph))
     assert tails == []
 
 
 def test_interleaved_twin_classes_take_tails(monkeypatch) -> None:
     tails = counted_tails(monkeypatch)
-    # K5,5 with its sides interleaved: each of depth 0's 10 tries ends in one tail,
-    # the 5 images of the other side, then the 4 left on the side of vertex 0
+    # K5,5 with its sides interleaved: the quotient K2 has 2 automorphisms, and each
+    # lifts through the 5 images of one side, then those of the other
     assert len(symmetry.automorphisms(graphs.from_graph6("IlUilTTig"))) == 28800
-    assert tails == [5, 4] * 10
+    assert tails == [5, 5, 5, 5]
     tails.clear()
-    # K1,8 with its centre at label 8: each of depth 0's 8 tries ends in one tail
-    # of the 7 leaves left, the centre's image fixed after them
+    # K1,8 with its centre at label 8: the quotient has only the identity, and the
+    # centre's image is fixed around the 8 leaves' images
     assert len(symmetry.automorphisms(graphs.from_graph6("H????B~"))) == 40320
-    assert tails == [7] * 8
+    assert tails == [8]
 
 
 def test_a_late_twin_class_keeps_a_long_listing_small(monkeypatch) -> None:
-    # C200 with 4 pendant leaves on vertex 0, labelled last: every depth may take a
-    # tail, so the listing must hold no table per depth (a list of the pairs of
-    # groups at each depth would be about n^3 / 6 entries, 100 MB); measured 2.9 MB
+    # C200 with 4 pendant leaves on vertex 0, labelled last: the listing must hold no
+    # table per depth of the search (a list of the pairs of classes at each depth
+    # would be about n^3 / 6 entries, 100 MB)
     tails = counted_tails(monkeypatch)
     n = 200
     graph = SimpleGraph.from_edges(n + 4, [(i, (i + 1) % n) for i in range(n)]
@@ -793,7 +805,7 @@ def test_a_late_twin_class_keeps_a_long_listing_small(monkeypatch) -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the identity and the reflection fixing 0, each with the leaves' 4! orders
+    # the quotient's identity and reflection fixing 0, each with the leaves' 4! orders
     assert len(auts) == 48
     assert tails == [4, 4]
     assert peak < 8e6
@@ -1054,7 +1066,7 @@ def test_listing_that_raises_restores_the_collector(monkeypatch, collector) -> N
     monkeypatch.setattr(symmetry._Search, "leaves", failing_leaves)
     gc.enable()
     with pytest.raises(RuntimeError, match="search failed"):
-        symmetry.automorphisms(SimpleGraph.complete(5))
+        symmetry.automorphisms(cycle_graph(5))  # twin-free: its listing is the search's
     assert paused == [False] * 3
     assert gc.isenabled()
 
